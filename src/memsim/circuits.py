@@ -18,6 +18,7 @@ from .devices import (
     HhParams,
     HpParams,
     ThresholdDeviceParams,
+    clamped_rate,
     hh_model,
     threshold_device_rhs,
 )
@@ -192,9 +193,7 @@ def amoeba_effective_rhs(state, v: float, p: AmoebaParams) -> np.ndarray:
     """Derivatives with the clamp accounted for: zero M-rate when the state
     sits at a bound and the raw rate points outward (used for settling checks)."""
     d = amoeba_rhs(state, v, p)
-    m = state[2]
-    if (m <= p.dev.r1 and d[2] < 0) or (m >= p.dev.r2 and d[2] > 0):
-        d[2] = 0.0
+    d[2] = clamped_rate(state[2], d[2], p.dev.r1, p.dev.r2)
     return d
 
 

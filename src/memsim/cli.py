@@ -4,7 +4,10 @@ Named reproductions of the figure-level runs plus config-driven custom runs.
 Every invocation writes trace CSVs, a plain-text ``metrics.txt`` (key=value
 lines), and a ``manifest.json`` recording the seed, package version, and a
 hash of the fully-resolved configuration.  Same seed + same config gives
-byte-identical artifacts.
+byte-identical artifacts.  They go to ``<out>/<experiment>/``, where ``<out>``
+is ``--out``, else the ``MEMNET_OUT`` environment variable, else
+``memsim-out``.  ``--dt`` and ``--t-end`` are offered only by the experiments
+whose presets have those fields.
 
 Exit codes: 0 success, 1 oracle mismatch (maze), 2 validation error,
 3 numerical failure.
@@ -502,10 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         sp.add_argument("--preset", default=None, help="named preset (default: first)")
         sp.add_argument("--config", default=None, help="JSON config path")
-        sp.add_argument("--out", default=None, help="output directory")
+        sp.add_argument("--out", default=None,
+                        help="output directory (default: $MEMNET_OUT, else memsim-out)")
         sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-        sp.add_argument("--dt", type=float, default=None, help="override integrator dt")
-        sp.add_argument("--t-end", type=float, default=None, help="override run length")
+        fields = PRESETS[name][default_preset(name)]
+        if "dt" in fields:
+            sp.add_argument("--dt", type=float, default=None, help="override integrator dt")
+        if "t_end" in fields:
+            sp.add_argument("--t-end", type=float, default=None, help="override run length")
         if name == "crossbar-train":
             sp.add_argument("--literal", action="store_true",
                             help="use the printed Sanger expression verbatim")
@@ -533,10 +540,9 @@ def main(argv=None) -> int:
                     f"unknown preset '{preset}' for '{experiment}'; "
                     f"available: {sorted(PRESETS[experiment])}")
             params = dict(PRESETS[experiment][preset])
-        if args.dt is not None:
-            params["dt"] = args.dt
-        if args.t_end is not None:
-            params["t_end"] = args.t_end
+        for field in ("dt", "t_end"):
+            if getattr(args, field, None) is not None:
+                params[field] = getattr(args, field)
         if experiment == "maze" and getattr(args, "maze", None):
             params["maze"] = Path(args.maze).read_text()
         params = _validate_params(experiment, params)

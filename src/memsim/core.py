@@ -1,8 +1,13 @@
 """Deterministic fixed-step ODE integration, drive waveforms, and trace analysis.
 
 Everything here is pure: the same inputs always produce bit-identical outputs.
-State clamping (where a model needs it) is supplied by the caller through the
-``poststep`` hook; the integrator itself never touches the state.
+``integrate`` is the package's one stepping loop.  State clamping (where a
+model needs it) is supplied by the caller through the ``poststep`` hook; the
+integrator itself never touches the state.  Runs that end early (a network
+reaching steady state, the LCA reaching its fixed point) pass a ``stop`` hook,
+which sees the state and its derivative after every step; that derivative is
+reused as the next step's first stage, so the check costs no extra RHS
+evaluation.
 """
 
 from __future__ import annotations
@@ -186,6 +191,7 @@ def integrate(
     spec: IntegratorSpec,
     names: Sequence[str] | None = None,
     poststep: Callable[[np.ndarray], np.ndarray] | None = None,
+    stop: Callable[[np.ndarray, np.ndarray], bool] | None = None,
 ) -> Trace:
     """Integrate ``dy/dt = rhs(y, t)`` with a fixed step.
 
@@ -198,6 +204,13 @@ def integrate(
     poststep : optional state transform applied after every step
         (device models use this for hard clamping; the integrator itself
         never clamps).
+    stop : optional early-stop hook ``stop(state, derivative) -> bool``,
+        called after every step (after ``poststep``) with the new state and
+        ``rhs(state, t)`` there.  The run ends after the first step for
+        which it returns True, and the trace ends with that step.  The
+        derivative it is shown becomes the next step's first stage, so a
+        run with a hook costs one RHS evaluation per Euler step (four per
+        RK4 step) plus one for the first step.
 
     Raises
     ------
@@ -209,16 +222,20 @@ def integrate(
         y = y.ravel()
     if not np.all(np.isfinite(y)):
         raise ValueError("state0 must be finite")
-    n = spec.n_steps
+    if names is None:
+        names = [f"y{i}" for i in range(y.size)]
+    if len(names) != y.size:
+        raise ValueError("number of names must match the state dimension")
     dt = spec.dt
-    out = np.empty((n + 1, y.size))
-    out[0] = y
+    # one row per step taken: a run that stops early never allocates the rest
+    rows = [y]
     t = 0.0
-    for k in range(n):
+    dy = None  # derivative at (y, t) when the stop hook has already computed it
+    for k in range(spec.n_steps):
+        k1 = np.asarray(rhs(y, t), dtype=float) if dy is None else dy
         if spec.method == "euler":
-            y = y + dt * np.asarray(rhs(y, t), dtype=float)
+            y = y + dt * k1
         else:
-            k1 = np.asarray(rhs(y, t), dtype=float)
             k2 = np.asarray(rhs(y + 0.5 * dt * k1, t + 0.5 * dt), dtype=float)
             k3 = np.asarray(rhs(y + 0.5 * dt * k2, t + 0.5 * dt), dtype=float)
             k4 = np.asarray(rhs(y + dt * k3, t + dt), dtype=float)
@@ -228,11 +245,12 @@ def integrate(
         t = (k + 1) * dt
         if not np.all(np.isfinite(y)):
             raise IntegrationDivergedError(t)
-        out[k + 1] = y
-    if names is None:
-        names = [f"y{i}" for i in range(y.size)]
-    if len(names) != y.size:
-        raise ValueError("number of names must match the state dimension")
+        rows.append(y)
+        if stop is not None:
+            dy = np.asarray(rhs(y, t), dtype=float)
+            if stop(y, dy):
+                break
+    out = np.array(rows)
     return Trace(t0=0.0, dt=dt, channels={nm: out[:, i] for i, nm in enumerate(names)})
 
 

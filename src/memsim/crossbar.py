@@ -5,6 +5,11 @@ SET/RESET writes with the closed-form switching time, plasticity programming
 (STDP pulse synthesis), learning-rule weight updates, and the Landauer-style
 energy estimates.
 
+Cell writes and read disturbances use the exact flux solution of the
+non-volatile (alpha=0) device, clipped to [0, 1]: under a constant pulse
+voltage the memory moves monotonically, so the clamp only stops it at the
+bound it runs into.  Devices with alpha != 0 are rejected.
+
 Crossbar snapshots are immutable: write operations return new snapshots.
 Cell convention: rows are output b-lines i (readout resistances r_out[i]),
 columns are input e-lines j; cell (i, j) holds memristance m[i, j] in
@@ -20,8 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import IntegratorSpec
-from .devices import HpParams, hp_analytic_w, hp_resistance
+from .devices import HpParams, hp_analytic_w, hp_flux_coordinate, hp_resistance
 
 __all__ = [
     "Crossbar",
@@ -222,6 +226,12 @@ def write_constants(hp: HpParams) -> float:
     return 2.0 / (hp.beta * (hp.r_off - hp.r_on))
 
 
+def _require_nonvolatile(hp: HpParams) -> None:
+    if hp.alpha != 0:
+        raise ValueError(
+            f"crossbar cells are defined for the non-volatile device (alpha=0), got alpha={hp.alpha:g}")
+
+
 def switching_time(hp: HpParams, v_write: float) -> float:
     """Full-swing switching time tau = 1/(b |V_write|).
 
@@ -230,44 +240,26 @@ def switching_time(hp: HpParams, v_write: float) -> float:
     """
     if v_write == 0:
         raise ValueError("write voltage must be nonzero")
-    if hp.alpha != 0:
-        raise ValueError("switching time is defined for the non-volatile device (alpha=0)")
+    _require_nonvolatile(hp)
     return 1.0 / (write_constants(hp) * abs(v_write))
 
 
-def _integrate_cell(w0: float, v: float, hp: HpParams, duration: float, n_steps: int = 4096) -> float:
-    """rk4 of the voltage-driven cell dw/dt = -polarity*v/(beta*R(w)), clamped.
+def _write_cell(w0: float, v: float, hp: HpParams, duration: float) -> float:
+    """Memory after holding ``v`` on a cell at ``w0`` for ``duration``.
 
-    Scalar fast path (plain floats); 4096 substeps keep the error well under
-    1e-7 of full swing even for pulses spanning the whole switching time.
+    The exact flux solution of dw/dt = -polarity*v/(beta*R(w)), clipped to
+    [0, 1]: the flux coordinate moves monotonically from u(w0), and a cell
+    whose coordinate would pass u(0) or u(1) stops at that bound.
     """
-    if duration == 0.0 or v == 0.0:
+    flux = v * duration
+    if flux == 0.0:
         return w0
-    dt = duration / n_steps
-    w = float(w0)
-    r_on, r_off = hp.r_on, hp.r_off
-    scale = -hp.polarity * v / hp.beta
-
-    def f(wv):
-        if wv < 0.0:
-            wv = 0.0
-        elif wv > 1.0:
-            wv = 1.0
-        return scale / (r_on * (1.0 - wv) + r_off * wv)
-
-    sixth = dt / 6.0
-    half = 0.5 * dt
-    for _ in range(n_steps):
-        k1 = f(w)
-        k2 = f(w + half * k1)
-        k3 = f(w + half * k2)
-        k4 = f(w + dt * k3)
-        w = w + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if w < 0.0:
-            w = 0.0
-        elif w > 1.0:
-            w = 1.0
-    return w
+    u = hp_flux_coordinate(w0, hp, flux)
+    if u <= 0.0:
+        return 0.0
+    if u >= hp_flux_coordinate(1.0, hp):
+        return 1.0
+    return hp_analytic_w(flux, w0, hp)
 
 
 def write_pulse(x: Crossbar, i: int, j: int, p: PulseSpec) -> Crossbar:
@@ -279,14 +271,16 @@ def write_pulse(x: Crossbar, i: int, j: int, p: PulseSpec) -> Crossbar:
     n_rows, n_cols = x.shape
     if not (0 <= i < n_rows and 0 <= j < n_cols):
         raise IndexError(f"cell ({i}, {j}) outside a {n_rows}x{n_cols} array")
-    w_new = _integrate_cell(float(x.w[i, j]), p.v_write, x.hp, p.duration)
+    _require_nonvolatile(x.hp)
+    w_new = _write_cell(float(x.w[i, j]), p.v_write, x.hp, p.duration)
     return x.with_cell_w(i, j, w_new)
 
 
 def read_disturbance(x: Crossbar, i: int, j: int, p: PulseSpec) -> float:
     """|delta w| the cell suffers from one read pulse (v_read for the duration)."""
+    _require_nonvolatile(x.hp)
     w0 = float(x.w[i, j])
-    w1 = _integrate_cell(w0, p.v_read, x.hp, p.duration)
+    w1 = _write_cell(w0, p.v_read, x.hp, p.duration)
     return abs(w1 - w0)
 
 
@@ -304,6 +298,7 @@ def read_bit(x: Crossbar, i: int, j: int, p: PulseSpec,
         raise IndexError(f"cell ({i}, {j}) outside a {n_rows}x{n_cols} array")
     if p.v_read == 0:
         raise ValueError("read voltage must be nonzero")
+    _require_nonvolatile(x.hp)
     i_meas = p.v_read / float(x.m[i, j])
     r_meas = p.v_read / i_meas
     mid = 0.5 * (x.hp.r_on + x.hp.r_off)
@@ -312,7 +307,7 @@ def read_bit(x: Crossbar, i: int, j: int, p: PulseSpec,
             f"cell ({i},{j}) reads R={r_meas:.6g}, inside the +-{guard:.0%} guard band around {mid:.6g}"
         )
     bit = 1 if r_meas < mid else 0
-    w_new = _integrate_cell(float(x.w[i, j]), p.v_read, x.hp, p.duration)
+    w_new = _write_cell(float(x.w[i, j]), p.v_read, x.hp, p.duration)
     return bit, x.with_cell_w(i, j, w_new)
 
 
@@ -435,8 +430,7 @@ def stdp_program(delta_t: float, kernel: StdpKernel, hp: HpParams,
         raise UnreachableDeltaError(
             f"target memory {w1:.4g} outside [0,1] from anchor {anchor_w}"
         )
-    xi = hp.xi
-    delta_u = 0.5 * xi * (w1**2 - anchor_w**2) + (w1 - anchor_w)
+    delta_u = float(hp_flux_coordinate(w1, hp) - hp_flux_coordinate(anchor_w, hp))
     # dw/dt = -polarity*v/(beta R(w))  ->  delta_u = -polarity * v * T/(beta r_on)
     if delta_u == 0.0:
         v_write = hp.polarity * v_mag  # SET polarity for the degenerate zero pulse

@@ -28,6 +28,7 @@ __all__ = [
     "hp_rhs",
     "hp_resistance",
     "joglekar_window",
+    "hp_flux_coordinate",
     "hp_analytic_w",
     "hp_volatile_analytic",
     "beta_from_film",
@@ -39,6 +40,7 @@ __all__ = [
     "hh_model",
     "simulate_hp_voltage_driven",
     "clamp01",
+    "clamped_rate",
 ]
 
 
@@ -211,6 +213,18 @@ def clamp01(w):
     return np.clip(w, 0.0, 1.0)
 
 
+def clamped_rate(y, dy, lo, hi):
+    """``dy`` with every rate that only pushes ``y`` out of [lo, hi] zeroed.
+
+    The residual a settling check looks at when the driver clamps the state
+    after each step: a component held at a bound by the clamp is at rest.
+    """
+    y = np.asarray(y, dtype=float)
+    dy = np.asarray(dy, dtype=float)
+    blocked = ((y >= hi) & (dy > 0)) | ((y <= lo) & (dy < 0))
+    return np.where(blocked, 0.0, dy)
+
+
 def joglekar_window(w, p: int):
     """F(w) = 1 - (2w - 1)^(2p); vanishes at both ends, 1 at w = 1/2."""
     return 1.0 - (2.0 * np.asarray(w, dtype=float) - 1.0) ** (2 * p)
@@ -228,6 +242,18 @@ def hp_rhs(w, i, p: HpParams, win: WindowSpec = WindowSpec()) -> float:
     """
     f = 1.0 if win.kind == "none" else joglekar_window(w, win.p)
     return p.alpha * np.asarray(w, dtype=float) - p.polarity * f * np.asarray(i, dtype=float) / p.beta
+
+
+def hp_flux_coordinate(w, p: HpParams, flux=0.0):
+    """Flux coordinate u = (xi/2) w^2 + w - polarity * Phi / (beta * r_on).
+
+    Under the non-volatile (alpha=0) dynamics dw/dt = -polarity*V/(beta*R(w))
+    the coordinate u(w) = (xi/2) w^2 + w moves linearly with the applied flux
+    Phi = integral of V dt, so the memory reached from ``w`` after ``flux``
+    is the root w1 >= -1/xi of u(w1) = hp_flux_coordinate(w, p, flux).
+    """
+    w = np.asarray(w, dtype=float)
+    return 0.5 * p.xi * w**2 + w - p.polarity * np.asarray(flux, dtype=float) / (p.beta * p.r_on)
 
 
 def hp_analytic_w(v_integral, w0: float, p: HpParams):
@@ -249,9 +275,8 @@ def hp_analytic_w(v_integral, w0: float, p: HpParams):
     """
     if p.alpha != 0:
         raise ValueError("closed form requires alpha = 0")
-    phi = np.asarray(v_integral, dtype=float)
     xi = p.xi
-    u = 0.5 * xi * w0**2 + w0 - p.polarity * phi / (p.beta * p.r_on)
+    u = hp_flux_coordinate(w0, p, v_integral)
     if xi < 1e-12:
         w = u
     else:

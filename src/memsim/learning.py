@@ -14,8 +14,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DriveSignal, IntegratorSpec, SimulationError, Trace, eval_signal
-from .devices import HpParams
+from .core import DriveSignal, IntegratorSpec, Trace, eval_signal, integrate
+from .devices import HpParams, clamp01
 from .network import CircuitGraph, cycle_projector, edge_currents, memnet_rhs
 
 __all__ = [
@@ -196,31 +196,15 @@ def rc_run(r: Reservoir, u_signal, spec: IntegratorSpec) -> Trace:
     def drive(t):
         return r.b @ (r.in_gain * u_of_t(t) + r.in_offset)
 
-    n = spec.n_steps
     dt = spec.dt
-    q = dyn.state0()
-    clamp = isinstance(dyn, MemristiveReservoir)
-    feats = np.empty((n + 1, r.h.shape[0]))
-    us = np.empty((n + 1, u_of_t(0.0).size))
-    feats[0] = r.h @ dyn.outputs(q, drive(0.0))
-    us[0] = u_of_t(0.0)
-    t = 0.0
-    for k in range(n):
-        if spec.method == "euler":
-            q = q + dt * dyn.rhs(q, drive(t))
-        else:
-            k1 = dyn.rhs(q, drive(t))
-            k2 = dyn.rhs(q + 0.5 * dt * k1, drive(t + 0.5 * dt))
-            k3 = dyn.rhs(q + 0.5 * dt * k2, drive(t + 0.5 * dt))
-            k4 = dyn.rhs(q + dt * k3, drive(t + dt))
-            q = q + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if clamp:
-            q = np.clip(q, 0.0, 1.0)
-        if not np.all(np.isfinite(q)):
-            raise SimulationError(f"reservoir diverged at t={t + dt:.6g}")
-        t = (k + 1) * dt
-        feats[k + 1] = r.h @ dyn.outputs(q, drive(t))
-        us[k + 1] = u_of_t(t)
+    poststep = clamp01 if isinstance(dyn, MemristiveReservoir) else None
+    tr = integrate(lambda q, t: dyn.rhs(q, drive(t)), dyn.state0(), spec, poststep=poststep)
+    qs = np.column_stack([tr[name] for name in tr.names])
+    feats = np.empty((len(qs), r.h.shape[0]))
+    us = np.empty((len(qs), u_of_t(0.0).size))
+    for k, q in enumerate(qs):
+        feats[k] = r.h @ dyn.outputs(q, drive(k * dt))
+        us[k] = u_of_t(k * dt)
     channels = {f"g{i}": feats[:, i] for i in range(feats.shape[1])}
     for i in range(us.shape[1]):
         channels[f"u{i}"] = us[:, i]
@@ -392,29 +376,19 @@ def lca_simulate(p: LcaProblem, x, spec: IntegratorSpec, tol: float = 1e-8) -> L
     g_off = gram - np.diag(np.diagonal(gram))
     n_atoms = phi.shape[1]
 
-    def rhs(u):
+    def rhs(u, t):
         return (b - u - g_off @ hard_threshold(u, p.lam)) / p.tau
 
-    n = spec.n_steps
-    dt = spec.dt
-    u = np.zeros(n_atoms)
-    rows = [u.copy()]
     converged = False
-    for _ in range(n):
-        if spec.method == "euler":
-            u = u + dt * rhs(u)
-        else:
-            k1 = rhs(u)
-            k2 = rhs(u + 0.5 * dt * k1)
-            k3 = rhs(u + 0.5 * dt * k2)
-            k4 = rhs(u + dt * k3)
-            u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        rows.append(u.copy())
-        if np.max(np.abs(rhs(u))) < tol:
-            converged = True
-            break
+
+    def reached_fixed_point(u, du):
+        nonlocal converged
+        converged = bool(np.max(np.abs(du)) < tol)
+        return converged
+
+    trace = integrate(rhs, np.zeros(n_atoms), spec, names=[f"u{i}" for i in range(n_atoms)],
+                      stop=reached_fixed_point)
     if not converged:
         warnings.warn("LCA did not reach a fixed point within t_end", RuntimeWarning, stacklevel=2)
-    data = np.array(rows)
-    trace = Trace(t0=0.0, dt=dt, channels={f"u{i}": data[:, i] for i in range(n_atoms)})
+    u = np.array([trace[f"u{i}"][-1] for i in range(n_atoms)])
     return LcaResult(a=hard_threshold(u, p.lam), trace=trace, converged=converged)

@@ -24,8 +24,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import IntegratorSpec, SimulationError, Trace, loglog_slope, power_spectrum_exponent
-from .devices import HpParams
+from .core import IntegratorSpec, SimulationError, Trace, integrate, loglog_slope, power_spectrum_exponent
+from .devices import HpParams, clamp01, clamped_rate
 
 __all__ = [
     "Edge",
@@ -284,12 +284,6 @@ class NetworkRun:
     stop_reason: str  # "steady" | "t_end"
 
 
-def _clamped_residual(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """Zero out rates that only push against the [0,1] clamp."""
-    blocked = ((w >= 1.0) & (dw > 0)) | ((w <= 0.0) & (dw < 0))
-    return np.where(blocked, 0.0, dw)
-
-
 def simulate_network(
     g: CircuitGraph,
     s,
@@ -321,34 +315,25 @@ def simulate_network(
     if w.shape != (n_e,):
         raise ValueError(f"w0 must have shape ({n_e},)")
 
-    n = spec.n_steps
-    dt = spec.dt
-    rows = [w.copy()]
+    # the mean channel is filled row by row as the run goes, so that the
+    # memory trace is never copied
+    mean_w = np.empty(spec.n_steps + 1)
+    mean_w[0] = w.mean()
+    taken = 0
     steady = False
-    t = 0.0
-    for k in range(n):
-        dw = memnet_rhs(w, s_of_t(t), omega, hp)
-        if spec.method == "euler":
-            w = w + dt * dw
-        else:
-            k1 = dw
-            k2 = memnet_rhs(w + 0.5 * dt * k1, s_of_t(t + 0.5 * dt), omega, hp)
-            k3 = memnet_rhs(w + 0.5 * dt * k2, s_of_t(t + 0.5 * dt), omega, hp)
-            k4 = memnet_rhs(w + dt * k3, s_of_t(t + dt), omega, hp)
-            w = w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        w = np.clip(w, 0.0, 1.0)
-        if not np.all(np.isfinite(w)):
-            raise SimulationError(f"network state diverged at t={t + dt:.6g}")
-        rows.append(w.copy())
-        t = (k + 1) * dt
-        resid = _clamped_residual(w, memnet_rhs(w, s_of_t(t), omega, hp))
-        if np.max(np.abs(resid)) < steady_tol:
-            steady = True
-            break
-    data = np.array(rows)
-    channels = {f"w{i}": data[:, i] for i in range(n_e)}
-    channels["mean_w"] = data.mean(axis=1)
-    trace = Trace(t0=0.0, dt=dt, channels=channels)
+
+    def reached_steady(w, dw):
+        nonlocal taken, steady
+        taken += 1
+        mean_w[taken] = w.mean()
+        steady = bool(np.max(np.abs(clamped_rate(w, dw, 0.0, 1.0))) < steady_tol)
+        return steady
+
+    tr = integrate(lambda w, t: memnet_rhs(w, s_of_t(t), omega, hp), w, spec,
+                   names=[f"w{i}" for i in range(n_e)], poststep=clamp01, stop=reached_steady)
+    channels = dict(tr.channels)
+    channels["mean_w"] = mean_w[: taken + 1]
+    trace = Trace(t0=0.0, dt=spec.dt, channels=channels)
     return NetworkRun(trace=trace, steady=steady, stop_reason="steady" if steady else "t_end")
 
 
@@ -370,31 +355,17 @@ def linearize(s, omega: np.ndarray, hp: HpParams, w_star, step: float = 1e-6) ->
     return a
 
 
-def _expm_taylor(a: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Taylor matrix exponential (series fallback)."""
-    norm = np.linalg.norm(a, 1)
-    squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300)))) + 1) if norm > 0.5 else 0
-    m = a / (2.0 ** squarings)
-    out = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
-    for k in range(1, 30):
-        term = term @ m / k
-        out = out + term
-        if np.linalg.norm(term, 1) < 1e-18 * max(np.linalg.norm(out, 1), 1.0):
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
 def mean_relaxation(a: np.ndarray, w0, ts, branch: str | None = None) -> np.ndarray:
     """Average relaxation <w(t)> = (1/N) tr(e^{At} W0), W0 = diag(w0).
 
     Evaluated through the eigendecomposition of A; ``branch`` restricts the
     modal sum to the "negative" or "positive" part of the spectrum (the
-    branch decomposition used in the relaxation analysis).  Falls back to a
-    scaling-and-squaring series exponential if the eigendecomposition fails
-    (full spectrum only).
+    branch decomposition used in the relaxation analysis).
+
+    Raises
+    ------
+    SimulationError
+        if the eigendecomposition fails (e.g. on non-finite entries).
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -403,10 +374,8 @@ def mean_relaxation(a: np.ndarray, w0, ts, branch: str | None = None) -> np.ndar
     try:
         lam, q = np.linalg.eig(a)
         d = np.diagonal(np.linalg.solve(q, np.diag(w0) @ q))
-    except np.linalg.LinAlgError:
-        if branch is not None:
-            raise
-        return np.array([np.trace(_expm_taylor(a * t) @ np.diag(w0)) / n for t in ts])
+    except np.linalg.LinAlgError as exc:
+        raise SimulationError(f"eigendecomposition of the linearization failed: {exc}") from exc
     if branch == "negative":
         keep = lam.real < -1e-12
     elif branch == "positive":

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from memsim.cli import main
+from memsim.cli import build_parser, main
 from memsim.presets import PRESETS, default_preset
 
 
@@ -158,3 +158,36 @@ class TestQuickExperiments:
         for name, presets in PRESETS.items():
             assert presets, name
             assert default_preset(name) in presets
+
+
+class TestIntegratorFlags:
+    def test_hysteresis_rejects_dt(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hysteresis", "--dt", "1e-3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--dt" in capsys.readouterr().err
+
+    def test_hh_dt_overrides(self, tmp_path):
+        assert main(["hh", "--dt", "1e-3", "--t-end", "0.05", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "hh" / "manifest.json").read_text())
+        assert manifest["params"]["dt"] == 1e-3
+        assert manifest["params"]["t_end"] == 0.05
+        assert len((tmp_path / "hh" / "hh.csv").read_text().splitlines()) == 1 + 51
+
+    def test_amoeba_accepts_dt_not_t_end(self, capsys):
+        parser = build_parser()
+        assert parser.parse_args(["amoeba", "--dt", "0.2"]).dt == 0.2
+        with pytest.raises(SystemExit):
+            parser.parse_args(["amoeba", "--t-end", "5"])
+
+    @pytest.mark.parametrize("flag,field", [("--dt", "dt"), ("--t-end", "t_end")])
+    def test_offered_exactly_where_the_preset_has_the_field(self, flag, field, capsys):
+        parser = build_parser()
+        for name in PRESETS:
+            has_field = field in PRESETS[name][default_preset(name)]
+            try:
+                parser.parse_args([name, flag, "1"])
+                accepted = True
+            except SystemExit:
+                accepted = False
+            assert accepted == has_field, name

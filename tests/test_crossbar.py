@@ -151,6 +151,31 @@ class TestWritePulse:
         b = write_constants(HP)
         assert out.w[0, 0] == pytest.approx(np.sqrt(b * 1.0 * tau / 2), rel=0.05)
 
+    @pytest.mark.parametrize("hp", [HP, HpParams(alpha=0.0, beta=1e-3, r_on=100.0, r_off=1600.0,
+                                                 polarity=-1)])
+    def test_closed_form_matches_rk4_reference(self, hp):
+        # 4096-substep rk4 of dw/dt = -polarity*v/(beta*R(w)) with the state
+        # clamped to [0, 1], vectorized over the cells of one row
+        rng = np.random.default_rng(11)
+        n = 200
+        v = rng.choice([-1.0, 1.0], n) * rng.uniform(0.05, 2.0, n)
+        duration = rng.uniform(0.0, 1.5, n) * np.array([switching_time(hp, vk) for vk in v])
+        xb = make_xb(hp_resistance(rng.uniform(0.0, 1.0, (1, n)), hp), hp=hp)
+        w = xb.w[0].copy()
+        steps = 4096
+        dt = duration / steps
+        rate = lambda wv: -hp.polarity * v / (hp.beta * hp_resistance(np.clip(wv, 0.0, 1.0), hp))
+        for _ in range(steps):
+            k1 = rate(w)
+            k2 = rate(w + 0.5 * dt * k1)
+            k3 = rate(w + 0.5 * dt * k2)
+            k4 = rate(w + dt * k3)
+            w = np.clip(w + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4), 0.0, 1.0)
+        for j in range(n):
+            xb = write_pulse(xb, 0, j, PulseSpec(v_write=v[j], duration=duration[j], v_read=0.0))
+        assert np.max(np.abs(xb.w[0] - w)) <= 1e-9
+        assert np.count_nonzero((w == 0.0) | (w == 1.0)) >= 20  # saturating pulses included
+
     def test_snapshots_immutable(self):
         xb = make_xb(np.full((1, 1), 50000.0))
         tau = switching_time(HP, 1.0)
@@ -211,6 +236,23 @@ class TestReadBit:
             for j in range(8):
                 bit, xb = read_bit(xb, i, j, self.pulse)
                 assert bit == bits[i, j]
+
+
+class TestVolatileDeviceRejected:
+    HPV = HpParams(alpha=0.1, beta=3e-4, r_on=1000.0, r_off=100000.0)
+    PULSE = PulseSpec(v_write=1.0, duration=1.0, v_read=1e-3)
+
+    def test_write_pulse(self):
+        with pytest.raises(ValueError, match="alpha=0"):
+            write_pulse(make_xb([[HP.r_off]], hp=self.HPV), 0, 0, self.PULSE)
+
+    def test_read_bit(self):
+        with pytest.raises(ValueError, match="alpha=0"):
+            read_bit(make_xb([[HP.r_off]], hp=self.HPV), 0, 0, self.PULSE)
+
+    def test_read_disturbance(self):
+        with pytest.raises(ValueError, match="alpha=0"):
+            read_disturbance(make_xb([[HP.r_off]], hp=self.HPV), 0, 0, self.PULSE)
 
 
 class TestProgramMatrix:

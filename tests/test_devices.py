@@ -14,8 +14,10 @@ from memsim.devices import (
     WindowSpec,
     beta_from_film,
     chang_model,
+    clamped_rate,
     hh_model,
     hp_analytic_w,
+    hp_flux_coordinate,
     hp_resistance,
     hp_rhs,
     hp_volatile_analytic,
@@ -141,6 +143,31 @@ class TestHpAnalytic:
         p = HpParams(alpha=0.0, beta=1.0, r_on=100.0, r_off=100.0)
         # xi = 0: w = w0 - polarity*phi/(beta r_on)
         assert hp_analytic_w(5.0, 0.5, p) == pytest.approx(0.5 - 5.0 / 100.0)
+
+
+class TestFluxCoordinate:
+    def test_root_of_shifted_coordinate_is_the_analytic_memory(self):
+        for w0, phi in ((0.5, 1e-4), (0.1, -2e-4), (0.9, 0.0)):
+            w1 = hp_analytic_w(phi, w0, HP_FIG)
+            assert hp_flux_coordinate(w1, HP_FIG) == pytest.approx(
+                hp_flux_coordinate(w0, HP_FIG, phi), rel=1e-12, abs=1e-15)
+
+    def test_bounds(self):
+        assert hp_flux_coordinate(0.0, HP_FIG) == 0.0
+        assert hp_flux_coordinate(1.0, HP_FIG) == pytest.approx(0.5 * HP_FIG.xi + 1.0)
+
+
+class TestClampedRate:
+    def test_zeroes_only_outward_rates_at_a_bound(self):
+        y = np.array([0.0, 0.0, 1.0, 1.0, 0.5])
+        dy = np.array([-1.0, 2.0, 3.0, -4.0, -5.0])
+        assert list(clamped_rate(y, dy, 0.0, 1.0)) == [0.0, 2.0, 0.0, -4.0, -5.0]
+
+    def test_general_bounds(self):
+        # the amoeba's memristance lives in [r1, r2]
+        assert clamped_rate(3.0, -0.5, 3.0, 20.0) == 0.0
+        assert clamped_rate(20.0, 0.5, 3.0, 20.0) == 0.0
+        assert clamped_rate(7.0, -0.5, 3.0, 20.0) == -0.5
 
 
 class TestHpVolatileAnalytic:

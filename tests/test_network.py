@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import exp1
 
-from memsim.core import IntegratorSpec
+from memsim.core import IntegratorSpec, SimulationError
 from memsim.devices import HpParams, hp_resistance, hp_rhs
 from memsim.network import (
     AmbiguousPathError,
@@ -277,15 +277,11 @@ class TestMeanRelaxation:
             ref = np.array([np.trace(expm(a * t) @ np.diag(w0)) / n for t in ts])
             assert np.max(np.abs(ours - ref)) < 1e-8
 
-    def test_series_fallback_matches_eig(self):
-        rng = np.random.default_rng(4)
-        a = -np.eye(5) + 0.1 * rng.normal(size=(5, 5))
-        w0 = rng.uniform(0, 1, 5)
-        ts = np.linspace(0, 2, 5)
-        from memsim.network import _expm_taylor
-
-        ref = np.array([np.trace(_expm_taylor(a * t) @ np.diag(w0)) / 5 for t in ts])
-        assert np.allclose(mean_relaxation(a, w0, ts), ref, atol=1e-10)
+    def test_failed_eigendecomposition_is_simulation_error(self):
+        a = -np.eye(3)
+        a[1, 2] = np.nan
+        with pytest.raises(SimulationError, match="eigendecomposition"):
+            mean_relaxation(a, np.full(3, 0.5), np.linspace(0, 1, 3))
 
     def test_negative_branch_filter(self):
         lam = np.array([-2.0, 3.0])
