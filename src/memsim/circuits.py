@@ -92,7 +92,7 @@ class McParams:
     R(q) = r_on*(1 - q/beta) + r_off*q/beta.  (The product-log solution and
     its beta -> inf pure-RC limit follow from exactly this form; see the
     README note on the displayed variant.)  c1 is the integration constant
-    of the closed form; calibrate with :func:`mc_calibrate`.
+    of the closed form, fixed by q(0) = q0 in :func:`mc_calibrate`.
     """
 
     c: float
@@ -124,25 +124,17 @@ def mc_simulate(p: McParams, q0: float, spec: IntegratorSpec) -> Trace:
     return Trace(t0=tr.t0, dt=tr.dt, channels={"q": q, "v_c": q / p.c, "r": mc_resistance(q, p)})
 
 
-def mc_calibrate(p: McParams, q0: float, spec: IntegratorSpec | None = None) -> McParams:
-    """Fix the integration constant c1 by anchoring to a simulated run.
+def mc_calibrate(p: McParams, q0: float) -> McParams:
+    """Fix the integration constant c1 from the initial charge q(0) = q0.
 
-    The anchor time is t_a = 10 r_on C.  From the implicit solution
-    ln q + (xi/beta) q = -t/(r_on C) - c1/(beta r_on), matching at the
-    anchor gives c1 directly.  Returns a new record with c1 set.
+    The implicit solution ln q + (xi/beta) q = -t/(r_on C) - c1/(beta r_on)
+    at t = 0 gives c1 = -beta r_on (ln q0 + xi q0/beta).  Returns a new record
+    with c1 set.
     """
+    if not q0 > 0:
+        raise SimulationError(f"initial charge must be > 0 to fix c1; got q0={q0!r}")
     hp = p.hp
-    t_a = 10.0 * hp.r_on * p.c
-    if spec is None:
-        spec = IntegratorSpec(method="rk4", dt=hp.r_on * p.c / 200.0, t_end=t_a)
-    tr = mc_simulate(p, q0, replace(spec, t_end=t_a))
-    q_a = float(tr["q"][-1])
-    if q_a <= 0:
-        raise SimulationError("anchor charge is non-positive; cannot calibrate c1")
-    c1 = -hp.beta * hp.r_on * (
-        math.log(q_a) + hp.xi * q_a / hp.beta + t_a / (hp.r_on * p.c)
-    )
-    return replace(p, c1=c1)
+    return replace(p, c1=-hp.beta * hp.r_on * (math.log(q0) + hp.xi * q0 / hp.beta))
 
 
 def mc_analytic(t, p: McParams):
@@ -150,7 +142,8 @@ def mc_analytic(t, p: McParams):
 
     Exact for the cell's discharge ODE; for large times W(x) ~ x gives the
     plain RC decay with time constant r_on*C, and beta -> inf recovers the
-    pure RC circuit.  Requires a calibrated c1 (see :func:`mc_calibrate`).
+    pure RC circuit.  Requires c1, which :func:`mc_calibrate` fixes from
+    q(0) = q0.
     """
     if p.c1 is None:
         raise ValueError("c1 is not set; run mc_calibrate first")

@@ -307,6 +307,8 @@ def run_network_soc(params, rng):
         "power_law": res.power_law,
         "fit_r2": res.fit_r2,
         "n_rates": int(res.rates.size),
+        "steady": res.steady,
+        "n_unstable": res.n_unstable,
     }
     return metrics, {"relaxation": res.relaxation}, None
 

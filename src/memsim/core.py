@@ -13,7 +13,6 @@ evaluation.
 from __future__ import annotations
 
 import io
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -132,21 +131,8 @@ class Trace:
 
     def to_csv(self, path_or_file) -> None:
         """Write ``t,<channel>,...`` rows; plain decimal point, locale-free."""
-        close = False
-        if isinstance(path_or_file, (str, bytes, os.PathLike)):
-            fh = open(path_or_file, "w", newline="\n")
-            close = True
-        else:
-            fh = path_or_file
-        try:
-            names = self.names
-            fh.write("t," + ",".join(names) + "\n")
-            cols = [self.times] + [self.channels[n] for n in names]
-            for row in zip(*cols):
-                fh.write(",".join(format(x, ".17g") for x in row) + "\n")
-        finally:
-            if close:
-                fh.close()
+        np.savetxt(path_or_file, np.column_stack([self.times, *self.channels.values()]),
+                   fmt="%.17g", delimiter=",", header="t," + ",".join(self.names), comments="")
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()

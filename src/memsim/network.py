@@ -4,7 +4,9 @@ Graph construction, the cycle-space projector, the network state equation
 
     dw/dt = alpha w - (1/beta) (I + chi Omega W)^{-1} Omega S,   chi = (r_off-r_on)/r_on,
 
-its linearization and spectral/relaxation analysis, and the maze-solving demo.
+its exact linearization J = alpha I + polarity (chi/beta) (I + chi Omega W)^{-1}
+Omega diag(i) (Caravelli, Traversa & Di Ventra, PRE 95, 022140, 2017),
+spectral/relaxation analysis, and the maze-solving demo.
 
 Voltage sources come in two forms: a series EMF on a memristive edge (the
 ``value`` field), or a pure source edge.  Pure source edges are eliminated
@@ -262,7 +264,11 @@ def source_vector(g: CircuitGraph, hp: HpParams) -> np.ndarray:
 
 
 def edge_currents(w: np.ndarray, s: np.ndarray, omega: np.ndarray, hp: HpParams) -> np.ndarray:
-    """Edge currents i = (I + chi Omega W)^{-1} Omega S (amperes)."""
+    """Edge currents i = (I + chi Omega W)^{-1} Omega S (amperes).
+
+    ``s`` may also be an E x k matrix: column k of the result is then driven
+    by column k of ``s``.
+    """
     chi = hp.xi
     m = np.eye(len(w)) + chi * omega * np.asarray(w, dtype=float)[None, :]
     try:
@@ -337,21 +343,23 @@ def simulate_network(
     return NetworkRun(trace=trace, steady=steady, stop_reason="steady" if steady else "t_end")
 
 
-def linearize(s, omega: np.ndarray, hp: HpParams, w_star, step: float = 1e-6) -> np.ndarray:
-    """Numerical Jacobian of memnet_rhs at w_star (central differences)."""
+def linearize(s, omega: np.ndarray, hp: HpParams, w_star) -> np.ndarray:
+    """Exact Jacobian of memnet_rhs at w_star.
+
+    Differentiating M i = Omega S, with M = I + chi Omega W, gives
+    di/dw_j = -chi M^{-1} Omega e_j i_j, so J = alpha I + polarity (chi/beta)
+    M^{-1} Omega diag(i) (Caravelli, Traversa & Di Ventra, PRE 95, 022140,
+    2017).  Raises SingularNetworkError if M is singular and SimulationError
+    on non-finite entries.
+    """
     w_star = np.asarray(w_star, dtype=float)
-    s = np.asarray(s, dtype=float)
-    n = w_star.size
-    a = np.empty((n, n))
-    for j in range(n):
-        wp = w_star.copy()
-        wm = w_star.copy()
-        wp[j] += step
-        wm[j] -= step
-        col = (memnet_rhs(wp, s, omega, hp) - memnet_rhs(wm, s, omega, hp)) / (2.0 * step)
-        if not np.all(np.isfinite(col)):
-            raise SimulationError(f"non-finite Jacobian entries in column {j}")
-        a[:, j] = col
+    # column j of M^{-1} Omega: the currents a unit source on edge j drives
+    unit_response = edge_currents(w_star, np.eye(w_star.size), omega, hp)
+    i = unit_response @ np.asarray(s, dtype=float)
+    a = (hp.polarity * hp.xi / hp.beta) * unit_response * i[None, :]
+    a[np.diag_indices_from(a)] += hp.alpha
+    if not np.all(np.isfinite(a)):
+        raise SimulationError("non-finite Jacobian entries")
     return a
 
 
@@ -398,6 +406,8 @@ class SocResult:
     fit_r2: float
     rates: np.ndarray
     relaxation: Trace
+    steady: bool  # the relaxation reached steady state before it was linearized
+    n_unstable: int  # Jacobian eigenvalues with real part > 1e-10
 
 
 def random_network(
@@ -422,8 +432,7 @@ def random_network(
             edges=tuple(Edge(a, b, "memristor", v) for (a, b), v in zip(pairs, emf)),
         )
         try:
-            reduce_and_check = _fundamental_cycles(*reduce_sources(g)[:2])
-            _ = reduce_and_check
+            _fundamental_cycles(*reduce_sources(g)[:2])
             return g
         except DisconnectedGraphError:
             continue
@@ -505,6 +514,8 @@ def soc_experiment(
         fit_r2=float(fit_r2),
         rates=rates,
         relaxation=relax,
+        steady=run.steady,
+        n_unstable=int(np.count_nonzero(lam > 1e-10)),
     )
 
 

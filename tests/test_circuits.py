@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from memsim.core import DriveSignal, IntegratorSpec, loop_area
+from memsim.core import DriveSignal, IntegratorSpec, SimulationError, loop_area
 from memsim.circuits import (
     AmoebaParams,
     McParams,
@@ -108,6 +108,18 @@ class TestMcCircuit:
         rel_analytic = np.abs(mc_analytic(tr.times[window], p) - rc[window]) / rc[window]
         assert rel_sim.max() < 1e-3
         assert rel_analytic.max() < 1e-3
+
+    @pytest.mark.parametrize("r_off", [6000.0, 1000.0])  # xi > 0 and xi = 0
+    def test_calibrated_constant_reproduces_q0(self, r_off):
+        hp = HpParams(alpha=0.0, beta=3e-4, r_on=1000.0, r_off=r_off)
+        for q0 in (1e-6, 1e-4, 3e-4, 1e-3):
+            p = mc_calibrate(McParams(c=1e-3, hp=hp), q0)
+            assert mc_analytic(0.0, p) == pytest.approx(q0, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("q0", [0.0, -1e-4, float("nan")])
+    def test_calibration_needs_positive_charge(self, q0):
+        with pytest.raises(SimulationError, match="q0"):
+            mc_calibrate(McParams(c=1e-3, hp=MC_HP), q0)
 
     def test_requires_calibration(self):
         p = McParams(c=1e-3, hp=MC_HP)

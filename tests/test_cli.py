@@ -137,6 +137,12 @@ class TestQuickExperiments:
                        (tmp_path / "mc-volatility" / "metrics.txt").read_text().splitlines())
         assert float(metrics["tail_max_rel_err"]) < 0.01
 
+    def test_mc_volatility_zero_charge_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"schema": 1, "experiment": "mc-volatility", "params": {"q0": 0.0}}))
+        assert main(["mc-volatility", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "q0" in capsys.readouterr().err
+
     def test_stdp(self, tmp_path):
         assert main(["stdp", "--out", str(tmp_path)]) == 0
         metrics = dict(line.split("=", 1) for line in

@@ -11,6 +11,7 @@ from memsim.network import (
     DisconnectedGraphError,
     Edge,
     MazeSpec,
+    SingularNetworkError,
     bfs_shortest_path,
     cycle_projector,
     edge_currents,
@@ -45,6 +46,14 @@ def random_connected(rng, n_nodes, p=0.15):
             return g
         except DisconnectedGraphError:
             continue
+
+
+def random_sourced(rng, n_nodes, p=0.3):
+    """random_connected with a random series EMF on every edge."""
+    g = random_connected(rng, n_nodes, p)
+    emf = rng.normal(size=len(g.edges))
+    return CircuitGraph(n_nodes=n_nodes, edges=tuple(
+        Edge(e.tail, e.head, "memristor", float(v)) for e, v in zip(g.edges, emf)))
 
 
 class TestCycleProjector:
@@ -235,20 +244,49 @@ class TestLinearize:
         w = 0.37
         a = linearize(s, omega, hp, np.array([w]))
         want = hp.alpha + chi * s[0] / (hp.beta * (1.0 + chi * w) ** 2)
-        assert a[0, 0] == pytest.approx(want, rel=1e-7)
+        assert a[0, 0] == pytest.approx(want, rel=1e-12)
 
-    def test_richardson_consistency(self):
-        rng = np.random.default_rng(2)
-        g = random_connected(rng, 10, p=0.3)
-        omega = cycle_projector(g)
-        n_e = omega.shape[0]
-        s = rng.normal(size=n_e)
-        w = rng.uniform(0.2, 0.8, n_e)
-        a1 = linearize(s, omega, HP, w, step=1e-5)
-        a2 = linearize(s, omega, HP, w, step=5e-6)
-        # both are second-order accurate: they agree far better than either
-        # differs from a crude forward difference
-        assert np.max(np.abs(a1 - a2)) < 1e-6 * max(1.0, np.max(np.abs(a1)))
+    def test_matches_central_differences(self):
+        h = 1e-6
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            g = random_sourced(rng, int(rng.integers(5, 13)))
+            hp = HpParams(alpha=(0.0, 0.1)[seed % 2], beta=0.5 + rng.random(), r_on=1.0,
+                          r_off=100.0, polarity=(1, -1)[seed // 2 % 2])
+            omega = cycle_projector(g)
+            s = source_vector(g, hp)
+            n_e = omega.shape[0]
+            w = rng.uniform(0.05, 0.95, n_e)
+            fd = np.empty((n_e, n_e))
+            for j in range(n_e):
+                dw = np.zeros(n_e)
+                dw[j] = h
+                fd[:, j] = (memnet_rhs(w + dw, s, omega, hp) - memnet_rhs(w - dw, s, omega, hp)) / (2 * h)
+            a = linearize(s, omega, hp, w)
+            assert np.max(np.abs(a - fd)) <= 1e-6 * np.max(np.abs(a)), seed
+
+    def test_null_space_at_alpha_zero(self):
+        # J = (chi/beta) M^{-1} Omega diag(i) has rank at most rank(Omega) = C,
+        # so at least E - C eigenvalues vanish to rounding.  The graphs are
+        # dense enough to have no block that is a lone cycle: on one with as
+        # many edges oriented each way, sum(i) = 0 and the zero eigenvalue is
+        # defective, so rounding moves it to ~sqrt(eps).
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            g = random_sourced(rng, 12, p=0.5)
+            omega = cycle_projector(g)
+            n_e = omega.shape[0]
+            n_cycles = np.linalg.matrix_rank(omega)
+            a = linearize(source_vector(g, HP), omega, HP, rng.uniform(0.05, 0.95, n_e))
+            lam = np.abs(np.linalg.eigvals(a))
+            assert np.count_nonzero(lam <= 1e-11 * lam.max()) >= n_e - n_cycles, seed
+
+    def test_singular_network_raises(self):
+        # chi = 4, so M = 1 + chi w is exactly zero at w = -1/4
+        hp = HpParams(alpha=0.0, beta=1.0, r_on=1.0, r_off=5.0)
+        g = CircuitGraph(n_nodes=2, edges=(Edge(0, 1), Edge(1, 0, "source", 1.0)))
+        with pytest.raises(SingularNetworkError):
+            linearize(source_vector(g, hp), cycle_projector(g), hp, np.array([-0.25]))
 
 
 class TestMeanRelaxation:

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,18 @@ class TestTrace:
         assert back.names == ("a", "b")
         assert np.allclose(back["a"], tr["a"])
         assert back.dt == tr.dt
+
+    def test_cells_match_format_17g(self, tmp_path):
+        vals = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308]
+        tr = Trace(t0=-1.0, dt=0.1, channels={"x": vals, "y": vals[::-1]})
+        want = "t,x,y\n" + "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n" for row in zip(tr.times, vals, vals[::-1]))
+        buf = io.StringIO()
+        tr.to_csv(buf)
+        assert buf.getvalue() == want
+        assert tr.to_csv_text() == want
+        tr.to_csv(tmp_path / "x.csv")
+        assert (tmp_path / "x.csv").read_text() == want
 
     def test_header_format(self):
         tr = Trace(t0=0.0, dt=1.0, channels={"x": [1.0]})
