@@ -175,7 +175,7 @@ def run_hysteresis(params, rng):
     areas = []
     for f in params["frequencies"]:
         n = int(params["samples_per_period"])
-        spec = IntegratorSpec(method="rk4", dt=1.0 / (f * n), t_end=1.0 / f)
+        spec = IntegratorSpec(dt=1.0 / (f * n), t_end=1.0 / f)
         drive = DriveSignal("sine", amplitude=params["amplitude"], frequency=f)
         tr = simulate_hp_voltage_driven(hp, drive, params["w0"], spec)
         traces[f"iv_f{f:g}"] = tr
@@ -274,7 +274,7 @@ def run_plant(params, rng):
         )
         for f in params["frequencies"]:
             n = int(params["samples_per_period"])
-            spec = IntegratorSpec(method="rk4", dt=1.0 / (f * n), t_end=2.0 / f)
+            spec = IntegratorSpec(dt=1.0 / (f * n), t_end=2.0 / f)
             drive = DriveSignal("sine", amplitude=params["amplitude"], frequency=f)
             tr = plant_simulate(p, drive, spec)
             half = tr.n_samples // 2

@@ -3,8 +3,9 @@
 Every function here is pure; parameter records are frozen dataclasses. States
 are plain numpy scalars/arrays; the per-model bounds (HP/Pickett/Chang memory
 in [0,1], threshold device M in [r1,r2], HH gates in [0,1]) are enforced by
-the simulation drivers that own the time stepping, via hard clamps after each
-step (windowing is the alternative the HP model offers).
+the simulation functions, via hard clamps after each step (windowing is the
+alternative the HP model offers; the non-volatile HP simulation clips its
+flux coordinate instead, see ``simulate_hp_voltage_driven``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DriveSignal, IntegratorSpec, Trace, eval_signal, integrate
+from .core import DriveSignal, IntegratorSpec, Trace, eval_signal, integrate, linear_response
 
 __all__ = [
     "HpParams",
@@ -256,6 +257,16 @@ def hp_flux_coordinate(w, p: HpParams, flux=0.0):
     return 0.5 * p.xi * w**2 + w - p.polarity * np.asarray(flux, dtype=float) / (p.beta * p.r_on)
 
 
+def _w_of_flux_coordinate(u, xi: float):
+    """The root w >= -1/xi of (xi/2) w^2 + w = u, the inverse of ``hp_flux_coordinate``."""
+    if xi < 1e-12:
+        return u
+    arg = 2.0 * xi * u + 1.0
+    if np.any(arg < 0):
+        raise SaturationError("flux drive saturates the device (sqrt argument < 0)")
+    return (np.sqrt(arg) - 1.0) / xi
+
+
 def hp_analytic_w(v_integral, w0: float, p: HpParams):
     """Closed-form non-volatile (alpha=0) trajectory from the running flux.
 
@@ -275,15 +286,7 @@ def hp_analytic_w(v_integral, w0: float, p: HpParams):
     """
     if p.alpha != 0:
         raise ValueError("closed form requires alpha = 0")
-    xi = p.xi
-    u = hp_flux_coordinate(w0, p, v_integral)
-    if xi < 1e-12:
-        w = u
-    else:
-        arg = 2.0 * xi * u + 1.0
-        if np.any(arg < 0):
-            raise SaturationError("flux drive saturates the device (sqrt argument < 0)")
-        w = (np.sqrt(arg) - 1.0) / xi
+    w = _w_of_flux_coordinate(hp_flux_coordinate(w0, p, v_integral), p.xi)
     if np.any(w < -1e-9) or np.any(w > 1.0 + 1e-9):
         raise SaturationError(
             f"w leaves [0,1] (range [{np.min(w):.6g}, {np.max(w):.6g}]): non-saturating drive required"
@@ -408,6 +411,21 @@ def hh_model(w1, w2, w3, v_k, v_na, p: HhParams):
     return i_k, i_na, dw1, dw2, dw3
 
 
+def _running_clip(x, lo: float, hi: float) -> np.ndarray:
+    """The path ``x`` held in [lo, hi]: each increment of ``x`` moves the result
+    alike unless that would leave [lo, hi], where it stops at the bound.  A path
+    that stays inside is returned unchanged."""
+    y = []
+    s = 0.0
+    for xk in np.asarray(x, dtype=float).tolist():
+        yk = xk + s
+        if not lo <= yk <= hi:
+            yk = min(max(yk, lo), hi)
+            s = yk - xk
+        y.append(yk)
+    return np.array(y)
+
+
 def simulate_hp_voltage_driven(
     p: HpParams,
     drive: DriveSignal,
@@ -417,18 +435,30 @@ def simulate_hp_voltage_driven(
 ) -> Trace:
     """Voltage-driven single HP device: I = V/R(w), memory clamped to [0,1].
 
+    With alpha = 0 and no window the solution is exact up to the Simpson
+    quadrature of the flux (``linear_response`` at rate 0), and ``spec`` gives
+    only the time grid: the coordinate u = (xi/2) w^2 + w moves with the flux
+    (``hp_flux_coordinate``), and the clamp of w to [0, 1] is a running clip
+    of u to [0, 1 + xi/2], so a saturating drive is exact too (as long as a
+    bound is not touched and left within one step).  Other devices are
+    stepped by ``integrate`` with ``spec.method``, clamping w after each step.
+
     Trace channels: w, v, i, r.
     """
+    if not 0.0 <= w0 <= 1.0:
+        raise ValueError(f"w0 must lie in [0, 1], got {w0!r}")
+    if p.alpha == 0 and win.kind == "none":
+        u = hp_flux_coordinate(w0, p, linear_response(drive, 0.0, spec))
+        w = clamp01(_w_of_flux_coordinate(_running_clip(u, 0.0, 1.0 + 0.5 * p.xi), p.xi))
+    else:
+        def rhs(y, t):
+            w = clamp01(y[0])
+            v = eval_signal(drive, t)
+            i = v / hp_resistance(w, p)
+            return np.array([hp_rhs(w, i, p, win)])
 
-    def rhs(y, t):
-        w = clamp01(y[0])
-        v = eval_signal(drive, t)
-        i = v / hp_resistance(w, p)
-        return np.array([hp_rhs(w, i, p, win)])
-
-    tr = integrate(rhs, [w0], spec, names=["w"], poststep=clamp01)
-    w = tr["w"]
-    v = np.asarray(eval_signal(drive, tr.times), dtype=float)
+        w = integrate(rhs, [w0], spec, names=["w"], poststep=clamp01)["w"]
+    v = np.asarray(eval_signal(drive, spec.dt * np.arange(spec.n_steps + 1)), dtype=float)
     r = hp_resistance(w, p)
     i = v / r
-    return Trace(t0=tr.t0, dt=tr.dt, channels={"w": w, "v": v, "i": i, "r": r})
+    return Trace(t0=0.0, dt=spec.dt, channels={"w": w, "v": v, "i": i, "r": r})

@@ -242,6 +242,24 @@ class TestPlant:
         assert areas["ideal", 16.0] < 0.2 * areas["ideal", 1.0]
         assert areas["rc", 16.0] > 0.5 * areas["rc", 1.0]
 
+    @pytest.mark.parametrize("f", [1.0, 4.0, 16.0])
+    def test_preset_currents_match_closed_forms(self, f):
+        # h = 1 gives J = (1 - e^{-bt})/b; the sine-driven series RC branch has
+        # q = C A [sin wt - w tau cos wt + w tau e^{-t/tau}] / (1 + (w tau)^2)
+        b, r_o, a_const, amp, rc_r, rc_c = 1.0, 1.0, 3.0, 1.0, 0.5, 0.1
+        p = PlantParams(p_beta=b, r_o=r_o, a_const=a_const, rc_r=rc_r, rc_c=rc_c)
+        spec = IntegratorSpec(dt=1.0 / (f * 4000), t_end=2.0 / f)
+        tr = plant_simulate(p, DriveSignal("sine", amplitude=amp, frequency=f), spec)
+        t = tr.times
+        w, tau = 2.0 * np.pi * f, rc_r * rc_c
+        v = amp * np.sin(w * t)
+        i_m = v / (r_o * -np.expm1(-b * t) + a_const * np.exp(-b * t))
+        q = rc_c * amp * (np.sin(w * t) - w * tau * np.cos(w * t) + w * tau * np.exp(-t / tau)) / (
+            1.0 + (w * tau) ** 2)
+        i_rc = (v - q / rc_c) / rc_r
+        assert np.max(np.abs(tr["i_m"] - i_m)) < 1e-11 * np.max(np.abs(i_m))
+        assert np.max(np.abs(tr["i_rc"] - i_rc)) < 1e-11 * np.max(np.abs(i_rc))
+
     def test_denominator_crossing_error(self):
         # sinh nonlinearity with negative drive makes the integral negative
         p = PlantParams(p_beta=2.0, r_o=5.0, a_const=0.01, h_kind="sinh", h_coeff=1.0)

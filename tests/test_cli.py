@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from memsim.cli import build_parser, main
+import memsim.circuits
+import memsim.devices
+from memsim.cli import build_parser, main, run_hysteresis, run_plant
 from memsim.presets import PRESETS, default_preset
 
 
@@ -164,6 +166,19 @@ class TestQuickExperiments:
         for name, presets in PRESETS.items():
             assert presets, name
             assert default_preset(name) in presets
+
+
+class TestPrescribedDriveSolvedDirectly:
+    def test_hysteresis_and_plant_never_step(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate called")
+
+        monkeypatch.setattr(memsim.devices, "integrate", refuse)
+        monkeypatch.setattr(memsim.circuits, "integrate", refuse)
+        rng = np.random.default_rng(0)
+        for runner, exp in ((run_hysteresis, "hysteresis"), (run_plant, "plant")):
+            metrics, traces, _ = runner(PRESETS[exp][default_preset(exp)], rng)
+            assert metrics and traces
 
 
 class TestIntegratorFlags:

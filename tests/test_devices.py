@@ -383,6 +383,40 @@ class TestPinchedHysteresisInvariants:
         assert tr["w"].max() <= 1.0
         assert np.all(tr["r"] >= p.r_on) and np.all(tr["r"] <= p.r_off)
 
+    def test_saturating_nonvolatile_drive_matches_clamped_rk4(self):
+        # 5 V at 2 Hz pushes w from 0.3 onto the w=0 bound every period
+        p = HP_FIG
+        drive = DriveSignal("sine", amplitude=5.0, frequency=2.0)
+        spec = IntegratorSpec(method="rk4", dt=1e-3, t_end=3.0)
+        tr = simulate_hp_voltage_driven(p, drive, 0.3, spec)
+        assert tr["w"].min() == 0.0 and tr["w"].max() <= 1.0
+
+        def rate(w, t):
+            w = min(max(w, 0.0), 1.0)
+            return -5.0 * np.sin(4.0 * np.pi * t) / (p.beta * (p.r_on * (1.0 - w) + p.r_off * w))
+
+        h, sub, w = 1e-5, 100, 0.3
+        ref = [w]
+        for k in range(spec.n_steps * sub):
+            t = k * h
+            k1 = rate(w, t)
+            k2 = rate(w + 0.5 * h * k1, t + 0.5 * h)
+            k3 = rate(w + 0.5 * h * k2, t + 0.5 * h)
+            k4 = rate(w + h * k3, t + h)
+            w = min(max(w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0), 1.0)
+            if (k + 1) % sub == 0:
+                ref.append(w)
+        assert np.max(np.abs(tr["w"] - np.array(ref))) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05])
+    def test_initial_memory_validated(self, alpha):
+        # the direct (alpha=0) and stepped paths would start from different samples
+        p = HpParams(alpha=alpha, beta=3e-4, r_on=1000.0, r_off=6000.0)
+        spec = IntegratorSpec(method="rk4", dt=1e-3, t_end=0.01)
+        for w0 in (-0.1, 1.2, float("nan")):
+            with pytest.raises(ValueError, match="w0"):
+                simulate_hp_voltage_driven(p, DriveSignal("dc", amplitude=1.0), w0, spec)
+
     def test_frequency_collapse_ordering(self):
         areas = []
         for f in (1.0, 2.0, 4.0):

@@ -16,13 +16,19 @@ import memsim
 for info in pkgutil.iter_modules(memsim.__path__):
     importlib.import_module("memsim." + info.name)
 import numpy as np
-from memsim.circuits import McParams, mc_analytic, mc_calibrate
-from memsim.devices import HpParams
+from memsim.circuits import McParams, PlantParams, mc_analytic, mc_calibrate, plant_simulate
+from memsim.core import DriveSignal, IntegratorSpec
+from memsim.devices import HpParams, simulate_hp_voltage_driven
 from memsim.network import CircuitGraph, Edge, cycle_projector, linearize, source_vector
 hp = HpParams(alpha=0.0, beta=3e-4, r_on=1000.0, r_off=6000.0)
 assert abs(mc_analytic(0.0, mc_calibrate(McParams(c=1e-3, hp=hp), 1e-4)) - 1e-4) < 1e-18
 g = CircuitGraph(n_nodes=2, edges=(Edge(0, 1), Edge(1, 0, "source", 1.0)))
 linearize(source_vector(g, hp), cycle_projector(g), hp, np.array([0.5]))
+drive = DriveSignal("sine", amplitude=1.0, frequency=2.0)
+spec = IntegratorSpec(dt=1e-3, t_end=1.0)
+plant = PlantParams(p_beta=1.0, r_o=2.0, a_const=1.5, h_kind="exp", h_coeff=0.5, rc_r=0.5, rc_c=0.1)
+assert np.all(np.isfinite(plant_simulate(plant, drive, spec)["i"]))
+assert np.all(np.isfinite(simulate_hp_voltage_driven(hp, drive, 0.5, spec)["w"]))
 """
 
 

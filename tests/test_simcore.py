@@ -10,6 +10,7 @@ from memsim.core import (
     Trace,
     eval_signal,
     integrate,
+    linear_response,
     loop_area,
     power_spectrum_exponent,
     simulation_cost_metrics,
@@ -112,6 +113,52 @@ class TestIntegrate:
             integrate(lambda y, t: -y, [np.inf], spec)
         with pytest.raises(ValueError):
             IntegratorSpec(method="rk45", dt=0.1, t_end=1.0)
+
+
+class TestLinearResponse:
+    @pytest.mark.parametrize("rate", [0.1, 1.0, 2.0])
+    def test_constant_forcing_is_the_exponential_charge(self, rate):
+        spec = IntegratorSpec(dt=1e-3, t_end=4.0)
+        t = spec.dt * np.arange(spec.n_steps + 1)
+        y = linear_response(np.ones_like, rate, spec)
+        want = -np.expm1(-rate * t) / rate
+        assert y[0] == 0.0
+        assert np.max(np.abs(y[1:] - want[1:]) / want[1:]) < 1e-13
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5, 20.0])
+    def test_sine_convolution(self, rate):
+        # int_0^t e^{-rate (t-x)} A sin(w x) dx
+        #   = A (rate sin wt - w cos wt + w e^{-rate t}) / (rate^2 + w^2),
+        # at rate 0 the flux A (1 - cos wt) / w
+        amp, f = 2.0, 4.0
+        w = 2.0 * np.pi * f
+        spec = IntegratorSpec(dt=1.0 / (f * 4000), t_end=2.0 / f)
+        t = spec.dt * np.arange(spec.n_steps + 1)
+        y = linear_response(DriveSignal("sine", amplitude=amp, frequency=f), rate, spec)
+        want = amp * (rate * np.sin(w * t) - w * np.cos(w * t) + w * np.exp(-rate * t)) / (rate**2 + w**2)
+        assert np.max(np.abs(y - want)) < 1e-10 * np.max(np.abs(want))
+
+    def test_bounded_where_the_scaled_sum_overflows(self):
+        # e^{rate t} = e^{1000} overflows a float; the recurrence stays at 1/rate
+        spec = IntegratorSpec(dt=1e-3, t_end=10.0)
+        t = spec.dt * np.arange(spec.n_steps + 1)
+        y = linear_response(np.ones_like, 100.0, spec)
+        assert np.all(np.isfinite(y))
+        assert np.max(np.abs(y - -np.expm1(-100.0 * t) / 100.0)) < 1e-7 / 100.0
+
+    def test_forcing_called_twice_on_grid_and_midpoints(self):
+        calls = []
+
+        def g(t):
+            calls.append(np.array(t))
+            return np.sin(t)
+
+        spec = IntegratorSpec(dt=0.1, t_end=1.0)
+        y = linear_response(g, 0.0, spec)
+        assert len(y) == spec.n_steps + 1
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], 0.1 * np.arange(11))
+        assert np.array_equal(calls[1], calls[0][:-1] + 0.05)
 
 
 class TestTrace:
