@@ -296,6 +296,8 @@ def plant_simulate(p: PlantParams, v: DriveSignal, spec: IntegratorSpec) -> Trac
 
     Raises
     ------
+    IntegrationDivergedError
+        at the first sample where J or q is not finite (h(V) overflowed).
     PlantDenominatorError
         at the first sample where the denominator is <= 0.
     """

@@ -257,9 +257,13 @@ def linear_response(g: Callable[[np.ndarray], np.ndarray], rate: float,
         y_{k+1} = a y_k + (dt/6) (a g_k + 4 sqrt(a) g_{k+1/2} + g_{k+1}),  a = e^{-rate dt},
 
     run as a recurrence, so every quantity stays bounded for any rate*t (a
-    cumulative sum scaled by e^{+rate t} would overflow).  At ``rate == 0``
-    the recurrence is a cumulative sum.  ``spec.method`` is not used.
-    Returns ``n_steps + 1`` samples.
+    cumulative sum scaled by e^{+rate t} would overflow).  ``spec.method`` is
+    not used.  Returns ``n_steps + 1`` samples.
+
+    Raises
+    ------
+    IntegrationDivergedError
+        at the first sample that is not finite, as ``integrate`` does.
     """
     dt = spec.dt
     t = dt * np.arange(spec.n_steps + 1)
@@ -267,14 +271,16 @@ def linear_response(g: Callable[[np.ndarray], np.ndarray], rate: float,
     g_mid = np.asarray(g(t[:-1] + 0.5 * dt), dtype=float)
     a = math.exp(-rate * dt)
     incr = (dt / 6.0) * (a * g_grid[:-1] + 4.0 * math.sqrt(a) * g_mid + g_grid[1:])
-    if rate == 0:
-        return np.concatenate(([0.0], np.cumsum(incr)))
     y = [0.0]
     acc = 0.0
     for d in incr.tolist():
         acc = a * acc + d
         y.append(acc)
-    return np.array(y)
+    y = np.array(y)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise IntegrationDivergedError(float(t[bad[0]]))
+    return y
 
 
 def _shoelace(v: np.ndarray, i: np.ndarray) -> float:

@@ -444,6 +444,11 @@ def simulate_hp_voltage_driven(
     stepped by ``integrate`` with ``spec.method``, clamping w after each step.
 
     Trace channels: w, v, i, r.
+
+    Raises
+    ------
+    IntegrationDivergedError
+        on either path, at the first sample where the flux (or w) is not finite.
     """
     if not 0.0 <= w0 <= 1.0:
         raise ValueError(f"w0 must lie in [0, 1], got {w0!r}")

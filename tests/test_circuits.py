@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from memsim.core import DriveSignal, IntegratorSpec, SimulationError, loop_area
+from memsim.core import DriveSignal, IntegratorSpec, IntegrationDivergedError, SimulationError, loop_area
 from memsim.circuits import (
     AmoebaParams,
     McParams,
@@ -266,6 +266,16 @@ class TestPlant:
         spec = IntegratorSpec(method="rk4", dt=1e-3, t_end=5.0)
         with pytest.raises(PlantDenominatorError):
             plant_simulate(p, DriveSignal("dc", amplitude=-1.0), spec)
+
+    @pytest.mark.parametrize("kind", ["exp", "sinh"])
+    def test_overflowing_nonlinearity_diverges(self, kind):
+        # h(V) = exp/sinh(1000 V) overflows once 1000 sin(2 pi t) > ln(2 DBL_MAX)
+        # ~ 710, i.e. from t ~ 0.1256; J would be inf (or nan) from there on
+        p = PlantParams(p_beta=1.0, r_o=1.0, a_const=1.0, h_kind=kind, h_coeff=1000.0)
+        spec = IntegratorSpec(dt=1e-3, t_end=1.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationDivergedError) as exc:
+            plant_simulate(p, DriveSignal("sine", amplitude=1.0, frequency=1.0), spec)
+        assert 0.125 <= exc.value.time <= 0.127
 
 
 HH = HhParams(g_k=36e-3, g_na=120e-3, k1=1.0, k2=0.1, na1=1.0, na2=0.1,

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from memsim.core import DriveSignal, IntegratorSpec, integrate, loop_area
+from memsim.core import DriveSignal, IntegratorSpec, IntegrationDivergedError, integrate, loop_area
 from memsim.devices import (
     ChangParams,
     FilmParams,
@@ -393,9 +395,10 @@ class TestPinchedHysteresisInvariants:
 
         def rate(w, t):
             w = min(max(w, 0.0), 1.0)
-            return -5.0 * np.sin(4.0 * np.pi * t) / (p.beta * (p.r_on * (1.0 - w) + p.r_off * w))
+            return -5.0 * math.sin(4.0 * math.pi * t) / (p.beta * (p.r_on * (1.0 - w) + p.r_off * w))
 
-        h, sub, w = 1e-5, 100, 0.3
+        # dt 1e-4 agrees with a dt 1e-5 reference to 2e-12 here
+        h, sub, w = 1e-4, 10, 0.3
         ref = [w]
         for k in range(spec.n_steps * sub):
             t = k * h
@@ -407,6 +410,15 @@ class TestPinchedHysteresisInvariants:
             if (k + 1) % sub == 0:
                 ref.append(w)
         assert np.max(np.abs(tr["w"] - np.array(ref))) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05])
+    def test_non_finite_drive_diverges_at_first_step(self, alpha):
+        # the direct (alpha=0) path checks the flux as the stepped path checks w
+        p = HpParams(alpha=alpha, beta=3e-4, r_on=1000.0, r_off=6000.0)
+        spec = IntegratorSpec(method="rk4", dt=1e-3, t_end=0.01)
+        with np.errstate(invalid="ignore"), pytest.raises(IntegrationDivergedError) as exc:
+            simulate_hp_voltage_driven(p, DriveSignal("sine", amplitude=np.nan, frequency=1.0), 0.5, spec)
+        assert exc.value.time == pytest.approx(1e-3)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.05])
     def test_initial_memory_validated(self, alpha):

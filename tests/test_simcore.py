@@ -160,6 +160,15 @@ class TestLinearResponse:
         assert np.array_equal(calls[0], 0.1 * np.arange(11))
         assert np.array_equal(calls[1], calls[0][:-1] + 0.05)
 
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_non_finite_forcing_diverges_at_first_bad_sample(self, rate):
+        # g is finite up to t = 0.5 and inf from the midpoint 0.55 on, which
+        # enters the step ending at t = 0.6
+        spec = IntegratorSpec(dt=0.1, t_end=1.0)
+        with pytest.raises(IntegrationDivergedError) as exc:
+            linear_response(lambda t: np.where(t > 0.52, np.inf, 1.0), rate, spec)
+        assert exc.value.time == pytest.approx(0.6)
+
 
 class TestTrace:
     def test_csv_roundtrip(self, tmp_path):
