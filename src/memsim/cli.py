@@ -50,6 +50,7 @@ from .network import (
     MazeSpec,
     bfs_shortest_path,
     random_network,
+    shortest_route_edges,
     soc_experiment,
     solve_maze,
 )
@@ -309,6 +310,8 @@ def run_network_soc(params, rng):
         "n_rates": int(res.rates.size),
         "steady": res.steady,
         "n_unstable": res.n_unstable,
+        "stop_reason": res.stop_reason,
+        "clamped_fraction": res.clamped_fraction,
     }
     return metrics, {"relaxation": res.relaxation}, None
 
@@ -318,15 +321,15 @@ def run_maze(params, rng):
     maze = MazeSpec.from_text(params["maze"])
     spec = IntegratorSpec(method="euler", dt=params["dt"], t_end=params["t_end"])
     result = solve_maze(maze, hp, params["v_dc"], spec, threshold=params["threshold"])
-    oracle = bfs_shortest_path(maze)
-    oracle_adj = {tuple(sorted(p)) for p in zip(oracle, oracle[1:])}
+    # solve_maze returns only cuts that connect the entrance to the exit, so
+    # the cut is a shortest route, or the union of tied ones, iff every edge
+    # in it lies on some shortest route
     found_adj = {tuple(sorted(p)) for p in result.path}
-    match = found_adj == oracle_adj
     metrics = {
-        "path_matches_bfs": match,
+        "path_matches_bfs": found_adj <= shortest_route_edges(maze),
         "contrast": result.contrast,
         "path_edges": len(result.path),
-        "bfs_edges": len(oracle_adj),
+        "bfs_edges": len(bfs_shortest_path(maze)) - 1,
     }
     text = "\n".join(f"{a} -> {b}" for a, b in result.path) + "\n"
     return metrics, {"maze_w": result.run.trace}, {"path.txt": text}

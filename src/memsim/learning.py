@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import DriveSignal, IntegratorSpec, Trace, eval_signal, integrate
 from .devices import HpParams, clamp01
-from .network import CircuitGraph, cycle_projector, edge_currents, memnet_rhs
+from .network import CircuitGraph, cycle_basis, edge_currents, memnet_rhs
 
 __all__ = [
     "elm_features",
@@ -133,20 +133,20 @@ class MemristiveReservoir:
     hp: HpParams
 
     def __post_init__(self):
-        object.__setattr__(self, "_omega", cycle_projector(self.graph))
+        object.__setattr__(self, "_cycles", cycle_basis(self.graph))
 
     @property
     def dim(self) -> int:
-        return self._omega.shape[0]
+        return self._cycles.shape[1]
 
     def state0(self) -> np.ndarray:
         return np.full(self.dim, 0.5)
 
     def rhs(self, w: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        return memnet_rhs(w, drive, self._omega, self.hp)
+        return memnet_rhs(w, drive, self._cycles, self.hp)
 
     def outputs(self, w: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        return np.concatenate([w, edge_currents(w, drive, self._omega, self.hp)])
+        return np.concatenate([w, edge_currents(w, drive, self._cycles, self.hp)])
 
     @property
     def out_dim(self) -> int:

@@ -1,6 +1,6 @@
 """Interacting memristor networks under Kirchhoff constraints.
 
-Graph construction, the cycle-space projector, the network state equation
+Graph construction, the cycle space, the network state equation
 
     dw/dt = alpha w - (1/beta) (I + chi Omega W)^{-1} Omega S,   chi = (r_off-r_on)/r_on,
 
@@ -8,14 +8,27 @@ its exact linearization J = alpha I + polarity (chi/beta) (I + chi Omega W)^{-1}
 Omega diag(i) (Caravelli, Traversa & Di Ventra, PRE 95, 022140, 2017),
 spectral/relaxation analysis, and the maze-solving demo.
 
+Omega is the orthogonal projector onto the cycle space (``cycle_projector``),
+the paper's object.  The same currents come from the mesh (KVL) form on the
+signed fundamental-cycle matrix B (C x E, C = E - N + 1, ``cycle_basis``):
+
+    i = B^T K^{-1} B S,   K = B (I + chi W) B^T,
+
+through the identity (I + chi Omega W)^{-1} Omega = B^T K^{-1} B.  K is
+symmetric positive definite for w in [0, 1] and has C unknowns instead of E.
+``edge_currents`` accepts either operator: ``simulate_network``,
+``solve_maze``, ``soc_experiment`` (and through it ``linearize``) and
+``learning.MemristiveReservoir`` pass B; the projector form is kept as the
+reference the tests and independent checks compare against.
+
 Voltage sources come in two forms: a series EMF on a memristive edge (the
 ``value`` field), or a pure source edge.  Pure source edges are eliminated
 losslessly before analysis by source shifting: the constraint phi_head =
 phi_tail + V is propagated through a potential-weighted union-find and the
 EMF reappears on the remaining memristive edges (sigma' = sigma + delta_tail
-- delta_head).  The projector and the source vector S = sigma'/r_on then live
-purely on memristive edges, which reproduces the single-loop reduction to the
-one-device equation exactly.
+- delta_head).  The cycle space and the source vector S = sigma'/r_on then
+live purely on memristive edges, which reproduces the single-loop reduction
+to the one-device equation exactly.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ __all__ = [
     "SingularNetworkError",
     "AmbiguousPathError",
     "reduce_sources",
+    "cycle_basis",
     "cycle_projector",
     "source_vector",
     "memnet_rhs",
@@ -52,6 +66,7 @@ __all__ = [
     "MazeResult",
     "solve_maze",
     "bfs_shortest_path",
+    "shortest_route_edges",
 ]
 
 
@@ -242,16 +257,29 @@ def _fundamental_cycles(n_nodes: int, edges: Sequence[tuple[int, int]]) -> np.nd
     return np.array(rows) if rows else np.zeros((0, len(edges)))
 
 
+def cycle_basis(g: CircuitGraph) -> np.ndarray:
+    """Signed fundamental-cycle matrix B (C x E) of the source-contracted graph.
+
+    Rows are the fundamental cycles of a BFS spanning tree over the memristive
+    edges, after pure source edges are contracted; columns follow
+    ``g.memristive_edges``.  C = E - N + 1 (0 for a tree; a self-loop is its
+    own cycle).  This is the operator the hot paths hand to ``edge_currents``.
+    Raises DisconnectedGraphError if the contracted graph is disconnected.
+    """
+    n_nodes, edges, _ = reduce_sources(g)
+    return _fundamental_cycles(n_nodes, edges)
+
+
 def cycle_projector(g: CircuitGraph) -> np.ndarray:
     """Orthogonal projector onto the cycle space of the memristive edge space.
 
-    Built from a fundamental-cycle basis B of the source-contracted graph:
-    Omega = B^T (B B^T)^+ B.  Symmetric, idempotent, eigenvalues in {0, 1},
-    rank E - N + 1 for a connected graph.
+    Built from the fundamental-cycle basis: Omega = B^T (B B^T)^+ B with
+    B = ``cycle_basis(g)``.  Symmetric, idempotent, eigenvalues in {0, 1},
+    rank E - N + 1 for a connected graph.  The paper's form of the network
+    equation; the simulation paths use B itself.
     """
-    n_nodes, edges, _ = reduce_sources(g)
-    b = _fundamental_cycles(n_nodes, edges)
-    n_edges = len(edges)
+    b = cycle_basis(g)
+    n_edges = b.shape[1]
     if b.shape[0] == 0:
         return np.zeros((n_edges, n_edges))
     return b.T @ np.linalg.pinv(b @ b.T) @ b
@@ -263,24 +291,44 @@ def source_vector(g: CircuitGraph, hp: HpParams) -> np.ndarray:
     return emf / hp.r_on
 
 
-def edge_currents(w: np.ndarray, s: np.ndarray, omega: np.ndarray, hp: HpParams) -> np.ndarray:
-    """Edge currents i = (I + chi Omega W)^{-1} Omega S (amperes).
+def edge_currents(w: np.ndarray, s: np.ndarray, cycles: np.ndarray, hp: HpParams) -> np.ndarray:
+    """Edge currents of the memristive network at memories ``w`` (amperes).
 
-    ``s`` may also be an E x k matrix: column k of the result is then driven
-    by column k of ``s``.
+    ``cycles`` is either operator of the cycle space:
+
+    - the C x E fundamental-cycle matrix B (``cycle_basis``), used on every
+      simulation path: i = B^T K^{-1} B S with K = B (I + chi W) B^T, a
+      C x C mesh system; a graph without cycles (C = 0) carries no current;
+    - the square E x E projector Omega (``cycle_projector``), the paper's
+      form kept as the reference: i = (I + chi Omega W)^{-1} Omega S.
+
+    A square argument is taken as the projector.  The only square cycle
+    matrix is the identity of a graph made of self-loops, where the two forms
+    agree.  ``s`` may also be an E x k matrix: column k of the result is then
+    driven by column k of ``s``.  Raises SingularNetworkError when the system
+    is singular.
     """
-    chi = hp.xi
-    m = np.eye(len(w)) + chi * omega * np.asarray(w, dtype=float)[None, :]
-    try:
-        return np.linalg.solve(m, omega @ np.asarray(s, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise SingularNetworkError(f"(I + chi Omega W) is singular: {exc}") from exc
-
-
-def memnet_rhs(w, s, omega: np.ndarray, hp: HpParams) -> np.ndarray:
-    """dw/dt = alpha w - polarity * (I + chi Omega W)^{-1} Omega S / beta."""
     w = np.asarray(w, dtype=float)
-    return hp.alpha * w - hp.polarity * edge_currents(w, s, omega, hp) / hp.beta
+    s = np.asarray(s, dtype=float)
+    chi = hp.xi
+    try:
+        if cycles.shape[0] == cycles.shape[1]:
+            m = np.eye(len(w)) + chi * cycles * w[None, :]
+            return np.linalg.solve(m, cycles @ s)
+        k = (cycles * (1.0 + chi * w)[None, :]) @ cycles.T
+        return cycles.T @ np.linalg.solve(k, cycles @ s)
+    except np.linalg.LinAlgError as exc:
+        raise SingularNetworkError(f"network current system is singular: {exc}") from exc
+
+
+def memnet_rhs(w, s, cycles: np.ndarray, hp: HpParams) -> np.ndarray:
+    """dw/dt = alpha w - polarity * i / beta, with i = ``edge_currents(w, s, cycles, hp)``.
+
+    ``cycles`` is the cycle basis B or the projector Omega (see
+    ``edge_currents``); both give (I + chi Omega W)^{-1} Omega S.
+    """
+    w = np.asarray(w, dtype=float)
+    return hp.alpha * w - hp.polarity * edge_currents(w, s, cycles, hp) / hp.beta
 
 
 @dataclass(frozen=True)
@@ -303,10 +351,11 @@ def simulate_network(
     ``s`` is the source vector over memristive edges (units V/r_on), or a
     callable t -> vector, or None to derive it from the graph's EMFs.  Stops
     early once the clamp-aware rate norm falls below ``steady_tol``.  The
-    trace carries w0..w{E-1} plus the instantaneous mean channel.
+    trace carries w0..w{E-1} plus the instantaneous mean channel.  Every
+    step solves the currents in mesh form on ``cycle_basis(g)``.
     """
-    omega = cycle_projector(g)
-    n_e = omega.shape[0]
+    cycles = cycle_basis(g)
+    n_e = cycles.shape[1]
     if s is None:
         s = source_vector(g, hp)
     s_of_t: Callable[[float], np.ndarray]
@@ -335,7 +384,7 @@ def simulate_network(
         steady = bool(np.max(np.abs(clamped_rate(w, dw, 0.0, 1.0))) < steady_tol)
         return steady
 
-    tr = integrate(lambda w, t: memnet_rhs(w, s_of_t(t), omega, hp), w, spec,
+    tr = integrate(lambda w, t: memnet_rhs(w, s_of_t(t), cycles, hp), w, spec,
                    names=[f"w{i}" for i in range(n_e)], poststep=clamp01, stop=reached_steady)
     channels = dict(tr.channels)
     channels["mean_w"] = mean_w[: taken + 1]
@@ -343,18 +392,21 @@ def simulate_network(
     return NetworkRun(trace=trace, steady=steady, stop_reason="steady" if steady else "t_end")
 
 
-def linearize(s, omega: np.ndarray, hp: HpParams, w_star) -> np.ndarray:
+def linearize(s, cycles: np.ndarray, hp: HpParams, w_star) -> np.ndarray:
     """Exact Jacobian of memnet_rhs at w_star.
 
     Differentiating M i = Omega S, with M = I + chi Omega W, gives
     di/dw_j = -chi M^{-1} Omega e_j i_j, so J = alpha I + polarity (chi/beta)
     M^{-1} Omega diag(i) (Caravelli, Traversa & Di Ventra, PRE 95, 022140,
-    2017).  Raises SingularNetworkError if M is singular and SimulationError
-    on non-finite entries.
+    2017).  M^{-1} Omega is one ``edge_currents`` call with the identity as
+    source matrix, so ``cycles`` may be the cycle basis B, where M^{-1} Omega
+    = B^T K^{-1} B (the form ``soc_experiment`` uses), or the projector Omega.
+    Raises SingularNetworkError if the current system is singular and
+    SimulationError on non-finite entries.
     """
     w_star = np.asarray(w_star, dtype=float)
     # column j of M^{-1} Omega: the currents a unit source on edge j drives
-    unit_response = edge_currents(w_star, np.eye(w_star.size), omega, hp)
+    unit_response = edge_currents(w_star, np.eye(w_star.size), cycles, hp)
     i = unit_response @ np.asarray(s, dtype=float)
     a = (hp.polarity * hp.xi / hp.beta) * unit_response * i[None, :]
     a[np.diag_indices_from(a)] += hp.alpha
@@ -408,6 +460,8 @@ class SocResult:
     relaxation: Trace
     steady: bool  # the relaxation reached steady state before it was linearized
     n_unstable: int  # Jacobian eigenvalues with real part > 1e-10
+    stop_reason: str  # why the relaxation ended: "steady" | "t_end"
+    clamped_fraction: float  # share of edges at w = 0 or w = 1 where it was linearized
 
 
 def random_network(
@@ -432,7 +486,7 @@ def random_network(
             edges=tuple(Edge(a, b, "memristor", v) for (a, b), v in zip(pairs, emf)),
         )
         try:
-            _fundamental_cycles(*reduce_sources(g)[:2])
+            cycle_basis(g)
             return g
         except DisconnectedGraphError:
             continue
@@ -477,11 +531,11 @@ def soc_experiment(
     """
     if spec is None:
         spec = IntegratorSpec(method="euler", dt=0.05, t_end=200.0)
-    omega = cycle_projector(g)
+    cycles = cycle_basis(g)
     s = source_vector(g, hp)
     run = simulate_network(g, s, hp, spec, w0=0.5)
-    w_star = np.array([run.trace[f"w{i}"][-1] for i in range(omega.shape[0])])
-    a = linearize(s, omega, hp, w_star)
+    w_star = np.array([run.trace[f"w{i}"][-1] for i in range(cycles.shape[1])])
+    a = linearize(s, cycles, hp, w_star)
     lam = np.real(np.linalg.eigvals(a))
     neg = -lam[lam < -1e-10]
     if neg.size == 0:
@@ -516,6 +570,8 @@ def soc_experiment(
         relaxation=relax,
         steady=run.steady,
         n_unstable=int(np.count_nonzero(lam > 1e-10)),
+        stop_reason=run.stop_reason,
+        clamped_fraction=float(np.mean((w_star <= 0.0) | (w_star >= 1.0))),
     )
 
 
@@ -596,6 +652,25 @@ def bfs_shortest_path(m: MazeSpec) -> list[tuple[int, int]] | None:
     return list(reversed(path))
 
 
+def shortest_route_edges(m: MazeSpec) -> set[tuple[tuple[int, int], tuple[int, int]]]:
+    """Every cell adjacency that lies on some shortest entrance->exit route.
+
+    With L the route length and d_S, d_E the BFS distances from the entrance
+    and the exit, the adjacency u-v lies on one iff d_S(u) + 1 + d_E(v) = L
+    in one of its two orientations.  Pairs are sorted, as ``run_maze``
+    compares them; tied routes contribute all their edges.
+    """
+    d_s = _bfs_distances(m, m.entrance)
+    d_e = _bfs_distances(m, m.exit)
+    length = d_s[m.exit]
+    return {
+        tuple(sorted((u, v)))
+        for u in d_s
+        for v in m.neighbors(u)
+        if v in d_e and d_s[u] + 1 + d_e[v] == length
+    }
+
+
 def maze_to_circuit(
     m: MazeSpec, hp: HpParams, v_dc: float
 ) -> tuple[CircuitGraph, dict[tuple[int, int], int]]:
@@ -652,12 +727,12 @@ def solve_maze(
     if spec is None:
         spec = IntegratorSpec(method="euler", dt=0.005, t_end=100.0)
     g, index = maze_to_circuit(m, hp, v_dc)
-    omega = cycle_projector(g)
+    cycles = cycle_basis(g)
     s = source_vector(g, hp)
     run = simulate_network(g, s, hp, spec, w0=0.5)
-    n_e = omega.shape[0]
+    n_e = cycles.shape[1]
     w_final = np.array([run.trace[f"w{i}"][-1] for i in range(n_e)])
-    cur = edge_currents(w_final, s, omega, hp)
+    cur = edge_currents(w_final, s, cycles, hp)
     mags = np.abs(cur)
     cut = threshold * mags.max()
     mem_edges = g.memristive_edges

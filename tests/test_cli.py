@@ -107,6 +107,17 @@ class TestMazeCommand:
         assert main(["maze", "--maze", str(mz), "--out", str(tmp_path)]) == 3
         assert "disconnected path" in capsys.readouterr().err
 
+    def test_tied_routes_that_all_conduct_exit_0(self, tmp_path):
+        # every adjacency lies on one of the tied shortest routes, and the cut
+        # keeps edges of several of them
+        mz = tmp_path / "m.txt"
+        mz.write_text("S....\n.#.#.\n.....\n.#.#.\n....E\n")
+        assert main(["maze", "--maze", str(mz), "--out", str(tmp_path)]) == 0
+        metrics = dict(line.split("=", 1) for line in
+                       (tmp_path / "maze" / "metrics.txt").read_text().splitlines())
+        assert metrics["path_matches_bfs"] == "True"
+        assert metrics["bfs_edges"] == "8"
+
     def test_invalid_maze_exits_2(self, tmp_path, capsys):
         mz = tmp_path / "m.txt"
         mz.write_text("S#E\n")

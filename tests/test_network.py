@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.special import exp1
 
@@ -13,6 +14,7 @@ from memsim.network import (
     MazeSpec,
     SingularNetworkError,
     bfs_shortest_path,
+    cycle_basis,
     cycle_projector,
     edge_currents,
     linearize,
@@ -21,6 +23,7 @@ from memsim.network import (
     memnet_rhs,
     random_network,
     reduce_sources,
+    shortest_route_edges,
     simulate_network,
     soc_experiment,
     solve_maze,
@@ -104,6 +107,108 @@ class TestCycleProjector:
     def test_self_loop_is_unit_projector(self):
         g = CircuitGraph(n_nodes=1, edges=(Edge(0, 0),))
         assert np.allclose(cycle_projector(g), [[1.0]])
+
+
+def contracted_incidence(g):
+    """Node-edge incidence (-1 at the tail, +1 at the head) of the source-contracted graph."""
+    n_nodes, edges, _ = reduce_sources(g)
+    a = np.zeros((n_nodes, len(edges)))
+    for k, (tail, head) in enumerate(edges):
+        a[tail, k] -= 1.0
+        a[head, k] += 1.0
+    return a
+
+
+class TestCycleBasis:
+    def test_rows_are_independent_cycles(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            n_nodes = int(rng.integers(2, 25))
+            g = random_connected(rng, n_nodes, p=0.25)
+            b = cycle_basis(g)
+            assert b.shape == (len(g.edges) - n_nodes + 1, len(g.edges))
+            assert np.linalg.matrix_rank(b) == b.shape[0]
+            # every row is a closed walk: it has no net flow at any node
+            assert np.all(contracted_incidence(g) @ b.T == 0.0)
+
+    def test_tree_has_no_cycles(self):
+        g = CircuitGraph(n_nodes=4, edges=(Edge(0, 1), Edge(1, 2), Edge(1, 3)))
+        assert cycle_basis(g).shape == (0, 3)
+
+    def test_self_loops_give_the_identity(self):
+        # a memristor across a source contracts to a self-loop
+        g = CircuitGraph(n_nodes=2, edges=(Edge(0, 1), Edge(0, 1), Edge(1, 0, "source", 1.0)))
+        assert np.array_equal(cycle_basis(g), np.eye(2))
+        assert np.allclose(cycle_projector(g), np.eye(2), atol=1e-15)
+
+
+@st.composite
+def sourced_graphs(draw):
+    """Connected graphs: a random spanning tree (some of its edges pure
+    sources), then parallel edges, self-loops and chords with series EMFs."""
+    volts = st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False))
+    n_nodes = draw(st.integers(1, 8))
+    edges = []
+    for v in range(1, n_nodes):
+        u = draw(st.integers(0, v - 1))
+        tail, head = (u, v) if draw(st.booleans()) else (v, u)
+        kind = draw(st.sampled_from(("memristor", "memristor", "source")))
+        edges.append(Edge(tail, head, kind, draw(volts)))
+    node = st.integers(0, n_nodes - 1)
+    edges += [Edge(a, b, "memristor", v) for a, b, v in
+              draw(st.lists(st.tuples(node, node, volts), max_size=12))]
+    if not any(e.kind == "memristor" for e in edges):
+        edges.append(Edge(0, 0, "memristor", draw(volts)))
+    return CircuitGraph(n_nodes=n_nodes, edges=tuple(edges))
+
+
+class TestMeshCurrents:
+    @settings(max_examples=300, deadline=None)
+    @given(g=sourced_graphs(), data=st.data())
+    def test_mesh_form_equals_projector_form_and_obeys_kirchhoff(self, g, data):
+        r_off = data.draw(st.floats(1.0, 200.0), label="r_off")
+        hp = HpParams(alpha=0.0, beta=1.0, r_on=1.0, r_off=r_off)
+        b = cycle_basis(g)
+        n_e = b.shape[1]
+        w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_e, max_size=n_e), label="w"))
+        n_cols = data.draw(st.sampled_from((0, 1, 3)), label="columns of s")
+        if n_cols == 0:
+            s = source_vector(g, hp)
+        else:
+            s = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).normal(
+                size=(n_e, n_cols))
+        i_mesh = edge_currents(w, s, b, hp)
+        i_proj = edge_currents(w, s, cycle_projector(g), hp)
+        assert i_mesh.shape == i_proj.shape == s.shape
+        # the currents are bounded by the source (|i| <= |S| in the 2-norm, as
+        # every resistance is at least r_on): measure both errors against it
+        scale = max(np.max(np.abs(s), initial=0.0), np.max(np.abs(i_proj), initial=0.0), 1e-300)
+        assert np.max(np.abs(i_mesh - i_proj), initial=0.0) <= 1e-12 * scale
+        # nodal KCL on the contracted graph, and KVL (r_on (1 + chi w) i = sigma
+        # around every cycle): together they fix the currents
+        assert np.max(np.abs(contracted_incidence(g) @ i_mesh), initial=0.0) <= 1e-12 * scale
+        drop = (1.0 + hp.xi * w).reshape((-1,) + (1,) * (s.ndim - 1)) * i_mesh
+        assert np.max(np.abs(b @ (drop - s)), initial=0.0) <= 1e-12 * scale * max(1.0, hp.xi)
+
+    def test_tree_carries_no_current(self):
+        g = CircuitGraph(n_nodes=3, edges=(Edge(0, 1, "memristor", 2.0), Edge(1, 2, "memristor", -1.0)))
+        b = cycle_basis(g)
+        assert np.array_equal(edge_currents(np.full(2, 0.5), source_vector(g, HP), b, HP), np.zeros(2))
+        assert np.array_equal(edge_currents(np.full(2, 0.5), np.ones((2, 3)), b, HP), np.zeros((2, 3)))
+
+    def test_single_loop_is_ohms_law(self):
+        g = ring(4, emf_on_first=3.0)
+        w = np.array([0.1, 0.4, 0.7, 1.0])
+        i = edge_currents(w, source_vector(g, HP), cycle_basis(g), HP)
+        want = 3.0 / (HP.r_on * np.sum(1.0 + HP.xi * w))
+        assert np.allclose(i, want, rtol=1e-14, atol=0.0)
+
+    def test_singular_mesh_raises(self):
+        # chi = 3: the loop resistance 2 + chi (w0 + w1) is exactly zero at w = -1/3
+        hp = HpParams(alpha=0.0, beta=1.0, r_on=1.0, r_off=4.0)
+        g = ring(2, emf_on_first=1.0)
+        with pytest.raises(SingularNetworkError):
+            edge_currents(np.full(2, -1.0 / 3.0), source_vector(g, hp), cycle_basis(g), hp)
 
 
 class TestSourceReduction:
@@ -262,8 +367,10 @@ class TestLinearize:
                 dw = np.zeros(n_e)
                 dw[j] = h
                 fd[:, j] = (memnet_rhs(w + dw, s, omega, hp) - memnet_rhs(w - dw, s, omega, hp)) / (2 * h)
-            a = linearize(s, omega, hp, w)
-            assert np.max(np.abs(a - fd)) <= 1e-6 * np.max(np.abs(a)), seed
+            # the exact Jacobian through either operator of the cycle space
+            for cycles in (omega, cycle_basis(g)):
+                a = linearize(s, cycles, hp, w)
+                assert np.max(np.abs(a - fd)) <= 1e-6 * np.max(np.abs(a)), seed
 
     def test_null_space_at_alpha_zero(self):
         # J = (chi/beta) M^{-1} Omega diag(i) has rank at most rank(Omega) = C,
@@ -365,8 +472,36 @@ class TestSocExperiment:
         assert not res.power_law
         assert res.fit_r2 < 0.9
 
+    def test_run_record(self):
+        rng = np.random.default_rng(2)
+        g = random_network(rng, n_nodes=30, edge_prob=0.15, n_sources=4, source_volts=2.0)
+        spec = IntegratorSpec(method="euler", dt=0.05, t_end=40.0)
+        run = simulate_network(g, None, HP, spec, w0=0.5)
+        w_star = np.array([run.trace[name][-1] for name in run.trace.names if name != "mean_w"])
+        res = soc_experiment(g, HP, spec)
+        assert res.stop_reason == run.stop_reason
+        assert res.steady == (res.stop_reason == "steady")
+        want = np.count_nonzero((w_star == 0.0) | (w_star == 1.0)) / w_star.size
+        assert res.clamped_fraction == want
+        assert 0.0 < want < 1.0
+
 
 class TestMaze:
+    def test_shortest_route_edges_unique_route(self):
+        m = MazeSpec.from_text("S....\n####.\n....E")
+        route = bfs_shortest_path(m)
+        assert shortest_route_edges(m) == {tuple(sorted(p)) for p in zip(route, route[1:])}
+
+    def test_shortest_route_edges_tied_routes(self):
+        # every adjacency of this grid lies on some monotone shortest route
+        m = MazeSpec.from_text("S....\n.#.#.\n.....\n.#.#.\n....E")
+        assert len(shortest_route_edges(m)) == 24
+        # two tied routes round the wall; the dead end (3, 0) is on neither
+        m = MazeSpec.from_text("S..\n.#.\n..E\n.##")
+        assert len(m.open_cells()) == 9
+        assert ((2, 0), (3, 0)) not in shortest_route_edges(m)
+        assert len(shortest_route_edges(m)) == 8
+
     def test_corridor_shape(self):
         m = MazeSpec.from_text("S.E")
         g, _ = maze_to_circuit(m, HP, 1.0)

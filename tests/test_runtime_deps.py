@@ -19,11 +19,23 @@ import numpy as np
 from memsim.circuits import McParams, PlantParams, mc_analytic, mc_calibrate, plant_simulate
 from memsim.core import DriveSignal, IntegratorSpec
 from memsim.devices import HpParams, simulate_hp_voltage_driven
-from memsim.network import CircuitGraph, Edge, cycle_projector, linearize, source_vector
+from memsim.network import (CircuitGraph, Edge, MazeSpec, cycle_basis, cycle_projector, linearize,
+                            simulate_network, solve_maze, source_vector)
 hp = HpParams(alpha=0.0, beta=3e-4, r_on=1000.0, r_off=6000.0)
 assert abs(mc_analytic(0.0, mc_calibrate(McParams(c=1e-3, hp=hp), 1e-4)) - 1e-4) < 1e-18
 g = CircuitGraph(n_nodes=2, edges=(Edge(0, 1), Edge(1, 0, "source", 1.0)))
 linearize(source_vector(g, hp), cycle_projector(g), hp, np.array([0.5]))
+# two loops sharing an edge, solved on the cycle basis (C = 2, E = 5)
+g = CircuitGraph(n_nodes=4, edges=(Edge(0, 1, "memristor", 1.0), Edge(1, 2), Edge(2, 0), Edge(1, 3),
+                                   Edge(3, 2)))
+net_hp = HpParams(alpha=0.0, beta=1.0, r_on=1.0, r_off=10.0)
+assert cycle_basis(g).shape == (2, 5)
+assert np.all(np.isfinite(linearize(source_vector(g, net_hp), cycle_basis(g), net_hp, np.full(5, 0.5))))
+run = simulate_network(g, None, net_hp, IntegratorSpec(method="euler", dt=0.01, t_end=1.0))
+assert np.all(np.isfinite(run.trace["mean_w"]))
+maze = solve_maze(MazeSpec.from_text("S..\\n.#.\\n..E"), HpParams(alpha=0.1, beta=1.0, r_on=1.0, r_off=100.0),
+                  100.0, IntegratorSpec(method="euler", dt=0.005, t_end=5.0))
+assert np.all(np.isfinite(maze.currents))
 drive = DriveSignal("sine", amplitude=1.0, frequency=2.0)
 spec = IntegratorSpec(dt=1e-3, t_end=1.0)
 plant = PlantParams(p_beta=1.0, r_o=2.0, a_const=1.5, h_kind="exp", h_coeff=0.5, rc_r=0.5, rc_c=0.1)
