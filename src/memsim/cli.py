@@ -441,14 +441,21 @@ def run_nef_demo(params, rng):
     grid = np.linspace(params["x_min"], params["x_max"], int(params["n_grid"]))
     pop = random_nef_population(rng, int(params["n_neurons"]), grid,
                                 tau0=params["tau0"], tau_rc=params["tau_rc"], i_f=params["i_f"])
-    train = [np.sin(np.pi * k * grid / 2.0) for k in range(1, int(params["n_train"]) + 1)]
-    dec = nef_fit_decoders(pop, train, regularization=params["regularization"])
+    # random band-limited training functions: Fourier series in cos/sin(pi k x / 2),
+    # k <= band_limit, with N(0, 1/n_terms) coefficients; the test function
+    # cos(pi x) lies in their span but is held out of the training set
+    phase = np.pi * np.outer(grid, np.arange(int(params["band_limit"]) + 1)) / 2.0
+    basis = np.hstack([np.cos(phase), np.sin(phase[:, 1:])])
+    coef = rng.standard_normal((int(params["n_train"]), basis.shape[1])) / np.sqrt(basis.shape[1])
+    dec = nef_fit_decoders(pop, coef @ basis.T, regularization=params["regularization"])
     test = np.cos(np.pi * grid)
     f_hat = nef_decode(nef_encode(test, pop), dec)
     rms = float(np.sqrt(np.mean((f_hat - test) ** 2)))
+    zero_rms = float(np.sqrt(np.mean(test ** 2)))
     tr = Trace(t0=float(grid[0]), dt=float(grid[1] - grid[0]),
                channels={"f": test, "f_hat": f_hat})
-    return {"test_rms": rms, "n_neurons": pop.n_neurons}, {"nef_decode": tr}, None
+    return ({"test_rms": rms, "zero_rms": zero_rms, "n_neurons": pop.n_neurons},
+            {"nef_decode": tr}, None)
 
 
 def run_lca(params, rng):

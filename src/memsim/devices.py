@@ -296,21 +296,21 @@ def hp_analytic_w(v_integral, w0: float, p: HpParams):
 
 
 def hp_volatile_analytic(i_signal, w0: float, p: HpParams, t: float, n_quad: int = 2048) -> float:
-    """Volatile (alpha>0) solution by quadrature of the driving current.
+    """Unclamped window-free solution of dw/dt = alpha*w - polarity*I(t)/beta at time ``t``.
 
         w(t) = e^{alpha t} (w0 - polarity * (1/beta) * int_0^t e^{-alpha tau} I(tau) dtau)
 
-    ``i_signal`` is a DriveSignal interpreted as a current, or any callable
-    of time. With I = 0 this is the bare decay-law w0 * e^{alpha t}.
+    computed by ``linear_response`` (rate -alpha) over ``n_quad`` steps of the
+    driving current.  ``i_signal`` is a DriveSignal interpreted as a current,
+    or any vectorised callable of time.  With I = 0 this is the bare decay
+    law w0 * e^{alpha t}.
     """
-    cur = i_signal if callable(i_signal) and not isinstance(i_signal, DriveSignal) else (
-        lambda tt: eval_signal(i_signal, tt))
     if t == 0:
         return float(w0)
-    tau = np.linspace(0.0, t, n_quad + 1)
-    integrand = np.exp(-p.alpha * tau) * np.asarray(cur(tau), dtype=float)
-    integral = np.trapezoid(integrand, tau)
-    return float(np.exp(p.alpha * t) * (w0 - p.polarity * integral / p.beta))
+    spec = IntegratorSpec(dt=t / n_quad, t_end=t)
+    w = linear_response(lambda tt: -p.polarity * np.asarray(i_signal(tt), dtype=float) / p.beta,
+                        -p.alpha, spec, y0=w0)
+    return float(w[-1])
 
 
 def beta_from_film(f: FilmParams) -> float:
@@ -411,21 +411,6 @@ def hh_model(w1, w2, w3, v_k, v_na, p: HhParams):
     return i_k, i_na, dw1, dw2, dw3
 
 
-def _running_clip(x, lo: float, hi: float) -> np.ndarray:
-    """The path ``x`` held in [lo, hi]: each increment of ``x`` moves the result
-    alike unless that would leave [lo, hi], where it stops at the bound.  A path
-    that stays inside is returned unchanged."""
-    y = []
-    s = 0.0
-    for xk in np.asarray(x, dtype=float).tolist():
-        yk = xk + s
-        if not lo <= yk <= hi:
-            yk = min(max(yk, lo), hi)
-            s = yk - xk
-        y.append(yk)
-    return np.array(y)
-
-
 def simulate_hp_voltage_driven(
     p: HpParams,
     drive: DriveSignal,
@@ -436,12 +421,13 @@ def simulate_hp_voltage_driven(
     """Voltage-driven single HP device: I = V/R(w), memory clamped to [0,1].
 
     With alpha = 0 and no window the solution is exact up to the Simpson
-    quadrature of the flux (``linear_response`` at rate 0), and ``spec`` gives
-    only the time grid: the coordinate u = (xi/2) w^2 + w moves with the flux
-    (``hp_flux_coordinate``), and the clamp of w to [0, 1] is a running clip
-    of u to [0, 1 + xi/2], so a saturating drive is exact too (as long as a
-    bound is not touched and left within one step).  Other devices are
-    stepped by ``integrate`` with ``spec.method``, clamping w after each step.
+    quadrature of the flux, and ``spec`` gives only the time grid: the
+    coordinate u = (xi/2) w^2 + w moves with the flux (``hp_flux_coordinate``),
+    so u is ``linear_response`` of -polarity*V/(beta*r_on) at rate 0, and the
+    clamp of w to [0, 1] holds u in [0, 1 + xi/2] after every step, so a
+    saturating drive is exact too (as long as a bound is not touched and left
+    within one step).  Other devices are stepped by ``integrate`` with
+    ``spec.method``, clamping w after each step.
 
     Trace channels: w, v, i, r.
 
@@ -453,8 +439,9 @@ def simulate_hp_voltage_driven(
     if not 0.0 <= w0 <= 1.0:
         raise ValueError(f"w0 must lie in [0, 1], got {w0!r}")
     if p.alpha == 0 and win.kind == "none":
-        u = hp_flux_coordinate(w0, p, linear_response(drive, 0.0, spec))
-        w = clamp01(_w_of_flux_coordinate(_running_clip(u, 0.0, 1.0 + 0.5 * p.xi), p.xi))
+        u = linear_response(lambda t: -p.polarity * drive(t) / (p.beta * p.r_on), 0.0,
+                            spec, y0=float(hp_flux_coordinate(w0, p)), bounds=(0.0, 1.0 + 0.5 * p.xi))
+        w = clamp01(_w_of_flux_coordinate(u, p.xi))
     else:
         def rhs(y, t):
             w = clamp01(y[0])

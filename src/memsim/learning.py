@@ -1,20 +1,22 @@
 """Analog-learning readouts and algorithms.
 
 Fixed-dictionary regression (ELM style), reservoir pipelines over linear or
-memristive dynamics, tuning-curve encode/decode with the leaky
-integrate-and-fire rate function, and sparse coding by the locally
-competitive algorithm.
+memristive dynamics (the linear one solved by its matrix exponential, the
+memristive one stepped by ``core.integrate``), tuning-curve encode/decode
+with the leaky integrate-and-fire rate function, and sparse coding by the
+locally competitive algorithm.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DriveSignal, IntegratorSpec, Trace, eval_signal, integrate
+from .core import IntegratorSpec, Trace, integrate
 from .devices import HpParams, clamp01
 from .network import CircuitGraph, cycle_basis, edge_currents, memnet_rhs
 
@@ -90,9 +92,28 @@ def fit_readout(g_matrix, y, ridge: float = 0.0) -> np.ndarray:
         return np.linalg.lstsq(g, y, rcond=None)[0]
 
 
+def _expm(m: np.ndarray) -> np.ndarray:
+    """e^m by scaling and squaring a degree-16 Taylor polynomial.
+
+    No eigenvectors are used, so a defective (non-diagonalisable) m is fine.
+    m is scaled by 2^-s until its 1-norm is at most 1/2, where the Taylor
+    remainder is below 1e-19 relative, and the result is squared s times.
+    """
+    norm = float(np.max(np.sum(np.abs(m), axis=0))) if m.size else 0.0
+    s = max(0, math.ceil(math.log2(2.0 * norm))) if norm > 0 else 0
+    x = m / 2.0**s
+    out = term = np.eye(m.shape[0])
+    for k in range(1, 17):
+        term = term @ x / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 @dataclass(frozen=True)
 class LinearReservoir:
-    """dq/dt = a q + (input); must be stable for the run at hand."""
+    """dq/dt = a q + (input), q(0) = 0; must be stable for the run at hand."""
 
     a: np.ndarray
 
@@ -106,18 +127,37 @@ class LinearReservoir:
     def dim(self) -> int:
         return self.a.shape[0]
 
-    def state0(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    def rhs(self, q: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        return self.a @ q + drive
-
-    def outputs(self, q: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        return q
-
     @property
     def out_dim(self) -> int:
         return self.dim
+
+    def trajectory(self, b: np.ndarray, inputs: Callable, spec: IntegratorSpec) -> np.ndarray:
+        """States q on the grid of ``spec`` for dq/dt = a q + b e(t), one row per sample.
+
+        ``inputs`` maps an array of n times to the (n, m) encoded inputs e,
+        and is called twice, on the grid and on the midpoints.
+        Each step is the exponential Simpson rule for the exact
+        variation-of-constants step,
+
+            q_{k+1} = P q_k + (dt/6) (P b e_k + 4 P_h b e_{k+1/2} + b e_{k+1}),
+
+        with the propagators P_h = e^{a dt/2} (``_expm``) and P = P_h^2
+        computed once: exact in a, Simpson's rule on the input, O(dt^4)
+        globally.  ``spec.method`` is not used.
+        """
+        dt = spec.dt
+        t = dt * np.arange(spec.n_steps + 1)
+        e = inputs(t)
+        half = _expm(0.5 * dt * self.a)
+        full = half @ half
+        weights = (dt / 6.0) * np.hstack([full @ b, 4.0 * (half @ b), b])
+        q = np.empty((t.size, self.dim))
+        q[0] = 0.0
+        # each step's input term first, written into the row the step ends in
+        np.matmul(np.hstack([e[:-1], inputs(t[:-1] + 0.5 * dt), e[1:]]), weights.T, out=q[1:])
+        for k in range(spec.n_steps):
+            q[k + 1] += full @ q[k]
+        return q
 
 
 @dataclass(frozen=True)
@@ -139,18 +179,28 @@ class MemristiveReservoir:
     def dim(self) -> int:
         return self._cycles.shape[1]
 
-    def state0(self) -> np.ndarray:
-        return np.full(self.dim, 0.5)
-
-    def rhs(self, w: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        return memnet_rhs(w, drive, self._cycles, self.hp)
-
-    def outputs(self, w: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        return np.concatenate([w, edge_currents(w, drive, self._cycles, self.hp)])
-
     @property
     def out_dim(self) -> int:
         return 2 * self.dim
+
+    def trajectory(self, b: np.ndarray, inputs: Callable, spec: IntegratorSpec) -> np.ndarray:
+        """Observable rows (w, edge currents) on the grid of ``spec``, one per sample.
+
+        The memories start at 1/2 and are stepped by ``integrate`` with
+        ``spec.method``, clamped to [0, 1] after every step; the drive at time
+        t is ``b @ inputs(t)``, with ``inputs`` called on one time at a
+        time.  The currents are solved once per row.
+        """
+        def drive(t):
+            return b @ inputs(t)
+
+        tr = integrate(lambda w, t: memnet_rhs(w, drive(t), self._cycles, self.hp),
+                       np.full(self.dim, 0.5), spec, poststep=clamp01)
+        out = np.empty((tr.n_samples, self.out_dim))
+        out[:, :self.dim] = np.column_stack([tr[name] for name in tr.names])
+        for k, t in enumerate(tr.times.tolist()):
+            out[k, self.dim:] = edge_currents(out[k, :self.dim], drive(t), self._cycles, self.hp)
+        return out
 
 
 @dataclass(frozen=True)
@@ -182,33 +232,26 @@ class Reservoir:
 
 
 def rc_run(r: Reservoir, u_signal, spec: IntegratorSpec) -> Trace:
-    """Drive the reservoir and return the N_g mixed feature signals g = H q.
+    """Drive the reservoir and return the N_g mixed feature signals g = H y.
 
-    ``u_signal`` is a DriveSignal, a callable t -> scalar, or a callable
-    t -> vector matching b's input width.  Channels g0..g{N_g-1} plus u0...
+    y is the dynamics' observable row (``trajectory``) at each sample.
+    ``u_signal`` is a DriveSignal or a vectorised callable of time: for one
+    time it returns a value or an m-vector, for an array of n times n values
+    or an (n, m) array, m being b's input width.  Channels g0..g{N_g-1}
+    plus u0...
     """
-    if isinstance(u_signal, DriveSignal):
-        u_of_t = lambda t: np.atleast_1d(eval_signal(u_signal, t))
-    else:
-        u_of_t = lambda t: np.atleast_1d(np.asarray(u_signal(t), dtype=float))
-    dyn = r.dynamics
+    def raw(t):
+        return np.asarray(u_signal(t), dtype=float).reshape(np.shape(t) + (-1,))
 
-    def drive(t):
-        return r.b @ (r.in_gain * u_of_t(t) + r.in_offset)
+    def inputs(t):
+        return r.in_gain * raw(t) + r.in_offset
 
-    dt = spec.dt
-    poststep = clamp01 if isinstance(dyn, MemristiveReservoir) else None
-    tr = integrate(lambda q, t: dyn.rhs(q, drive(t)), dyn.state0(), spec, poststep=poststep)
-    qs = np.column_stack([tr[name] for name in tr.names])
-    feats = np.empty((len(qs), r.h.shape[0]))
-    us = np.empty((len(qs), u_of_t(0.0).size))
-    for k, q in enumerate(qs):
-        feats[k] = r.h @ dyn.outputs(q, drive(k * dt))
-        us[k] = u_of_t(k * dt)
+    feats = r.dynamics.trajectory(r.b, inputs, spec) @ r.h.T
+    us = raw(spec.dt * np.arange(spec.n_steps + 1))
     channels = {f"g{i}": feats[:, i] for i in range(feats.shape[1])}
     for i in range(us.shape[1]):
         channels[f"u{i}"] = us[:, i]
-    return Trace(t0=0.0, dt=dt, channels=channels)
+    return Trace(t0=0.0, dt=spec.dt, channels=channels)
 
 
 @dataclass(frozen=True)

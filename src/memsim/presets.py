@@ -181,7 +181,8 @@ NEF_DEMO = {
     "tau_rc": 20e-3,
     "i_f": 1.0,
     "regularization": 1e-6,
-    "n_train": 12,
+    "n_train": 200,
+    "band_limit": 4,
 }
 
 LCA = {

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import special
+from scipy.integrate import solve_ivp
 
 from memsim.core import DriveSignal, IntegratorSpec, IntegrationDivergedError, SimulationError, loop_area
 from memsim.circuits import (
@@ -18,7 +21,8 @@ from memsim.circuits import (
     mc_simulate,
     plant_simulate,
 )
-from memsim.devices import HhParams, HpParams, ThresholdDeviceParams
+from memsim.devices import HhParams, HpParams, ThresholdDeviceParams, hh_model
+from memsim.presets import HH as HH_PRESET
 
 MC_HP = HpParams(alpha=0.0, beta=3e-4, r_on=1000.0, r_off=6000.0)
 
@@ -306,3 +310,50 @@ class TestHhSimulate:
             hh_simulate(HH, DriveSignal("dc", amplitude=0.0),
                         IntegratorSpec(method="rk4", dt=1e-3, t_end=0.1),
                         gates0=(1.5, 0.0, 0.0))
+
+    @pytest.mark.parametrize("gates0", [(0.0, 0.0, 0.0), (0.3, 0.6, 0.9)])
+    def test_preset_matches_dop853(self, gates0):
+        p = HhParams(**{k: HH_PRESET[k] for k in (
+            "g_k", "g_na", "k1", "k2", "na1", "na2", "na3", "na4", "na5", "na6", "na7", "na8", "na9")})
+        drive = DriveSignal("sine", amplitude=HH_PRESET["amplitude"], frequency=HH_PRESET["frequency"])
+        spec = IntegratorSpec(dt=HH_PRESET["dt"], t_end=HH_PRESET["t_end"])
+        tr = hh_simulate(p, drive, spec, gates0=gates0)
+
+        def rhs(t, y):
+            v = drive(t)
+            return hh_model(*y, v, v, p)[2:]
+
+        ref = solve_ivp(rhs, (0.0, spec.t_end), gates0, method="DOP853", rtol=1e-13, atol=1e-15,
+                        t_eval=tr.times)
+        for k, name in enumerate(("w1", "w2", "w3")):
+            assert tr[name][0] == gates0[k]
+            assert np.max(np.abs(tr[name] - ref.y[k])) < 1e-12
+
+    def test_gate_held_at_one_matches_clipped_rk4(self):
+        # a strong w2 growth term drives the gate into the clamp at 1 near t = 0.41,
+        # where it is held while the raw rate still points outward
+        p = replace(HH, na3=3.0)
+        drive = DriveSignal("sine", amplitude=0.5, frequency=1.0, phase=np.pi)
+        spec = IntegratorSpec(dt=1e-3, t_end=0.6)
+        tr = hh_simulate(p, drive, spec)
+        held = tr["w2"] == 1.0
+        assert 100 < np.count_nonzero(held) < spec.n_steps
+        v = drive(tr.times[held])
+        assert np.all(hh_model(1.0, 1.0, 1.0, v, v, p)[3] > 0)
+
+        def rate(y, t):
+            v = drive(t)
+            return np.array(hh_model(*y, v, v, p)[2:])
+
+        h, y, ref = spec.dt / 10, np.zeros(3), [np.zeros(3)]
+        for k in range(10 * spec.n_steps):
+            t = k * h
+            k1 = rate(y, t)
+            k2 = rate(y + 0.5 * h * k1, t + 0.5 * h)
+            k3 = rate(y + 0.5 * h * k2, t + 0.5 * h)
+            k4 = rate(y + h * k3, t + h)
+            y = np.clip(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, 1.0)
+            ref.append(y)
+        ref = np.array(ref[::10])
+        for k, name in enumerate(("w1", "w2", "w3")):
+            assert np.max(np.abs(tr[name] - ref[:, k])) < 1e-9

@@ -5,7 +5,9 @@ import pytest
 
 import memsim.circuits
 import memsim.devices
-from memsim.cli import build_parser, main, run_hysteresis, run_plant
+import memsim.learning
+from memsim.cli import (build_parser, main, run_hh, run_hysteresis, run_nef_demo, run_plant,
+                        run_rc_demo)
 from memsim.presets import PRESETS, default_preset
 
 
@@ -190,6 +192,26 @@ class TestPrescribedDriveSolvedDirectly:
         for runner, exp in ((run_hysteresis, "hysteresis"), (run_plant, "plant")):
             metrics, traces, _ = runner(PRESETS[exp][default_preset(exp)], rng)
             assert metrics and traces
+
+    def test_hh_and_linear_reservoir_never_step(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate called")
+
+        monkeypatch.setattr(memsim.circuits, "integrate", refuse)
+        monkeypatch.setattr(memsim.learning, "integrate", refuse)
+        rng = np.random.default_rng(0)
+        for runner, exp in ((run_hh, "hh"), (run_rc_demo, "rc-demo")):
+            metrics, traces, _ = runner(PRESETS[exp][default_preset(exp)], rng)
+            assert metrics and traces
+
+
+class TestNefDemo:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_decodes_better_than_zero(self, seed):
+        # the held-out cos(pi x) must be decoded better than by returning zero
+        metrics, _, _ = run_nef_demo(PRESETS["nef-demo"][default_preset("nef-demo")],
+                                     np.random.default_rng(seed))
+        assert metrics["test_rms"] < metrics["zero_rms"]
 
 
 class TestIntegratorFlags:

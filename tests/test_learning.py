@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from memsim.core import DriveSignal, IntegratorSpec
 from memsim.devices import HpParams
 from memsim.network import CircuitGraph, Edge
 from memsim.learning import (
+    _expm,
     LcaProblem,
     LinearReservoir,
     MemristiveReservoir,
@@ -119,28 +119,46 @@ class TestRcRun:
         res = make_linear_reservoir(rng)
         dt, t_end = 1e-3, 2.0
         spec = IntegratorSpec(method="rk4", dt=dt, t_end=t_end)
-        u = DriveSignal("sine", amplitude=1.0, frequency=1.5)
+        f = 1.5
+        u = DriveSignal("sine", amplitude=1.0, frequency=f)
         tr = rc_run(res, u, spec)
-        # oracle: g(t) = H int_0^t e^{A(t-s)} B u(s) ds via the exact
-        # one-step propagator (trapezoid on the input)
+        # closed form: for u = sin(wt) and q(0) = 0,
+        # q(t) = Im[(iwI - A)^{-1} (e^{iwt} I - e^{At}) b], with A symmetric here
         a = res.dynamics.a
-        n = a.shape[0]
-        prop = expm(a * dt)
-        times = tr.times
-        us = np.asarray(u(times))
-        q = np.zeros(n)
-        outs = [res.h @ q]
-        for k in range(len(times) - 1):
-            # exact variation-of-constants step with linear input interpolation
-            # approximated by trapezoid: q' = P q + int term
-            f0 = res.b @ np.atleast_1d(us[k])
-            f1 = res.b @ np.atleast_1d(us[k + 1])
-            q = prop @ (q + 0.5 * dt * f0) + 0.5 * dt * f1
-            outs.append(res.h @ q)
-        ref = np.array(outs)
+        w = 2.0 * np.pi * f
+        lam, vec = np.linalg.eigh(a)
+        t = tr.times
+        b = res.b[:, 0]
+        e_at_b = (vec * np.exp(np.outer(t, lam))[:, None, :]) @ (vec.T @ b)  # (T, n)
+        resolvent = np.linalg.inv(1j * w * np.eye(a.shape[0]) - a)
+        q = np.imag((np.exp(1j * w * t)[:, None] * b - e_at_b) @ resolvent.T)
+        ref = q @ res.h.T
         got = np.column_stack([tr[f"g{k}"] for k in range(3)])
-        scale = np.max(np.abs(ref))
-        assert np.max(np.abs(got - ref)) < 1e-4 * scale
+        assert np.max(np.abs(got - ref)) < 1e-10 * np.max(np.abs(ref))
+
+    def test_defective_matrix_against_jordan_closed_form(self):
+        # A = lam I + N (one Jordan block): e^{At} = e^{lam t} (I + N t) has no
+        # eigenvector basis.  For u = 1, q(t) = int_0^t e^{As} ds b
+        lam = -3.0
+        a = np.array([[lam, 1.0], [0.0, lam]])
+        b = np.array([[0.4], [1.0]])
+        res = Reservoir(dynamics=LinearReservoir(a=a), b=b, h=np.eye(2))
+        spec = IntegratorSpec(dt=1e-3, t_end=3.0)
+        tr = rc_run(res, DriveSignal("dc", amplitude=1.0), spec)
+        t = tr.times
+        e1 = np.expm1(lam * t) / lam                             # int_0^t e^{lam s} ds
+        e2 = (np.exp(lam * t) * (lam * t - 1.0) + 1.0) / lam**2  # int_0^t s e^{lam s} ds
+        want = np.column_stack([b[0, 0] * e1 + b[1, 0] * e2, b[1, 0] * e1])
+        got = np.column_stack([tr["g0"], tr["g1"]])
+        assert np.max(np.abs(got - want)) < 1e-13
+
+    @pytest.mark.parametrize("t", [0.01, 0.3, 2.0, 7.5])
+    def test_propagator_of_a_jordan_block(self, t):
+        # small arguments take the Taylor sum alone, larger ones its squarings
+        lam = -1.7
+        a = np.array([[lam, 1.0], [0.0, lam]])
+        want = np.exp(lam * t) * np.array([[1.0, t], [0.0, 1.0]])
+        assert np.max(np.abs(_expm(a * t) - want)) < 1e-14 * max(1.0, t)
 
     def test_input_linearity(self):
         rng = np.random.default_rng(7)

@@ -16,9 +16,10 @@ import memsim
 for info in pkgutil.iter_modules(memsim.__path__):
     importlib.import_module("memsim." + info.name)
 import numpy as np
-from memsim.circuits import McParams, PlantParams, mc_analytic, mc_calibrate, plant_simulate
+from memsim.circuits import McParams, PlantParams, hh_simulate, mc_analytic, mc_calibrate, plant_simulate
 from memsim.core import DriveSignal, IntegratorSpec
-from memsim.devices import HpParams, simulate_hp_voltage_driven
+from memsim.devices import HhParams, HpParams, hp_volatile_analytic, simulate_hp_voltage_driven
+from memsim.learning import LinearReservoir, Reservoir, rc_run
 from memsim.network import (CircuitGraph, Edge, MazeSpec, cycle_basis, cycle_projector, linearize,
                             simulate_network, solve_maze, source_vector)
 hp = HpParams(alpha=0.0, beta=3e-4, r_on=1000.0, r_off=6000.0)
@@ -41,6 +42,13 @@ spec = IntegratorSpec(dt=1e-3, t_end=1.0)
 plant = PlantParams(p_beta=1.0, r_o=2.0, a_const=1.5, h_kind="exp", h_coeff=0.5, rc_r=0.5, rc_c=0.1)
 assert np.all(np.isfinite(plant_simulate(plant, drive, spec)["i"]))
 assert np.all(np.isfinite(simulate_hp_voltage_driven(hp, drive, 0.5, spec)["w"]))
+hh = HhParams(g_k=36e-3, g_na=120e-3, k1=1.0, k2=0.1, na1=1.0, na2=0.1,
+              na3=0.2, na4=-1.0, na5=0.0, na6=0.5, na7=-0.5, na8=0.0, na9=0.5)
+assert np.all(np.isfinite(hh_simulate(hh, drive, spec)["i_na"]))
+res = Reservoir(dynamics=LinearReservoir(a=np.array([[-1.0, 1.0], [0.0, -1.0]])), b=np.ones((2, 1)),
+                h=np.eye(2))
+assert np.all(np.isfinite(rc_run(res, drive, spec)["g1"]))
+assert np.isfinite(hp_volatile_analytic(drive, 0.3, HpParams(alpha=0.5, beta=1.0, r_on=1.0, r_off=2.0), 1.0))
 """
 
 

@@ -170,6 +170,39 @@ class TestLinearResponse:
         assert exc.value.time == pytest.approx(0.6)
 
 
+    def test_time_varying_rate_matches_closed_form(self):
+        # rate a(t) = c + d sin t; the forcing g = Y' + a Y makes Y = cos 3t + 0.5
+        # the exact solution from y0 = 1.5; the scheme is third order in dt
+        c, d = 1.5, 1.2
+        rate = lambda t: c + d * np.sin(t)
+        g = lambda t: -3.0 * np.sin(3.0 * t) + rate(t) * (np.cos(3.0 * t) + 0.5)
+        errs = []
+        for dt in (1e-3, 5e-4):
+            spec = IntegratorSpec(dt=dt, t_end=4.0)
+            t = spec.dt * np.arange(spec.n_steps + 1)
+            y = linear_response(g, rate, spec, y0=1.5)
+            errs.append(np.max(np.abs(y - (np.cos(3.0 * t) + 0.5))))
+        assert errs[0] < 3e-11
+        assert errs[0] / errs[1] > 7.0
+
+    def test_time_varying_rate_decay(self):
+        # g = 0: y = y0 exp(-(c t + d (1 - cos t)))
+        c, d = 0.7, 2.0
+        spec = IntegratorSpec(dt=1e-3, t_end=5.0)
+        t = spec.dt * np.arange(spec.n_steps + 1)
+        y = linear_response(np.zeros_like, lambda t: c + d * np.sin(t), spec, y0=0.8)
+        want = 0.8 * np.exp(-(c * t + d * (1.0 - np.cos(t))))
+        assert np.max(np.abs(y - want)) < 1e-12
+
+    def test_bounds_hold_the_path(self):
+        # y = 0.2 + t until it reaches 0.5, held there after every later step
+        spec = IntegratorSpec(dt=1e-2, t_end=1.0)
+        t = spec.dt * np.arange(spec.n_steps + 1)
+        y = linear_response(np.ones_like, 0.0, spec, y0=0.2, bounds=(0.0, 0.5))
+        assert np.max(np.abs(y - np.minimum(0.2 + t, 0.5))) < 1e-14
+        assert y.max() == 0.5
+
+
 class TestTrace:
     def test_csv_roundtrip(self, tmp_path):
         tr = Trace(t0=0.0, dt=0.5, channels={"a": [1.0, 2.0, 3.0], "b": [0.1, 0.2, 0.3]})
