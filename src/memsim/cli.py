@@ -1,9 +1,11 @@
 """Command-line experiment harness.
 
-Named reproductions of the figure-level runs plus config-driven custom runs.
-Every invocation writes trace CSVs, a plain-text ``metrics.txt`` (key=value
-lines), and a ``manifest.json`` recording the seed, package version, and a
-hash of the fully-resolved configuration.  Same seed + same config gives
+Named reproductions of the figure-level runs plus config-driven custom runs:
+each experiment runs its one preset, or a ``--config`` JSON file whose
+``params`` override fields of that preset.  Every invocation writes trace
+CSVs, a plain-text ``metrics.txt`` (key=value lines), and a ``manifest.json``
+recording the seed, package version, preset name, and a hash of the
+fully-resolved configuration.  Same seed + same config gives
 byte-identical artifacts.  They go to ``<out>/<experiment>/``, where ``<out>``
 is ``--out``, else the ``MEMNET_OUT`` environment variable, else
 ``memsim-out``.  ``--dt`` and ``--t-end`` are offered only by the experiments
@@ -320,16 +322,17 @@ def run_maze(params, rng):
     hp = _hp(params)
     maze = MazeSpec.from_text(params["maze"])
     spec = IntegratorSpec(method="euler", dt=params["dt"], t_end=params["t_end"])
-    result = solve_maze(maze, hp, params["v_dc"], spec, threshold=params["threshold"])
-    # solve_maze returns only cuts that connect the entrance to the exit, so
-    # the cut is a shortest route, or the union of tied ones, iff every edge
-    # in it lies on some shortest route
+    result = solve_maze(maze, hp, params["v_dc"], spec)
+    # the path is an entrance->exit walk; it is one shortest route iff it has
+    # the route length and every edge in it lies on some shortest route (the
+    # edges of tied routes alone could add up to more than one route)
     found_adj = {tuple(sorted(p)) for p in result.path}
+    bfs_edges = len(bfs_shortest_path(maze)) - 1
     metrics = {
-        "path_matches_bfs": found_adj <= shortest_route_edges(maze),
+        "path_matches_bfs": found_adj <= shortest_route_edges(maze) and len(result.path) == bfs_edges,
         "contrast": result.contrast,
         "path_edges": len(result.path),
-        "bfs_edges": len(bfs_shortest_path(maze)) - 1,
+        "bfs_edges": bfs_edges,
     }
     text = "\n".join(f"{a} -> {b}" for a, b in result.path) + "\n"
     return metrics, {"maze_w": result.run.trace}, {"path.txt": text}
@@ -515,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
         sp = sub.add_parser(name, help=f"run the {name} experiment")
-        sp.add_argument("--preset", default=None, help="named preset (default: first)")
         sp.add_argument("--config", default=None, help="JSON config path")
         sp.add_argument("--out", default=None,
                         help="output directory (default: $MEMNET_OUT, else memsim-out)")
@@ -539,19 +541,13 @@ def main(argv=None) -> int:
     experiment = args.experiment
     try:
         if args.config is not None:
-            cfg_experiment, raw_params = _load_config(args.config)
+            cfg_experiment, params = _load_config(args.config)
             if cfg_experiment != experiment:
                 raise ValueError(
                     f"config is for experiment '{cfg_experiment}', not '{experiment}'")
-            params = _validate_params(experiment, raw_params)
             preset = None
         else:
-            preset = args.preset or default_preset(experiment)
-            if preset not in PRESETS[experiment]:
-                raise ValueError(
-                    f"unknown preset '{preset}' for '{experiment}'; "
-                    f"available: {sorted(PRESETS[experiment])}")
-            params = dict(PRESETS[experiment][preset])
+            params, preset = {}, default_preset(experiment)
         for field in ("dt", "t_end"):
             if getattr(args, field, None) is not None:
                 params[field] = getattr(args, field)
@@ -578,8 +574,7 @@ def main(argv=None) -> int:
 
     out_root = args.out or os.environ.get("MEMNET_OUT", "memsim-out")
     out_dir = Path(out_root) / experiment
-    _write_outputs(out_dir, experiment, preset if args.config is None else None,
-                   args.seed, params, metrics, traces, extra)
+    _write_outputs(out_dir, experiment, preset, args.seed, params, metrics, traces, extra)
     for key, value in metrics.items():
         print(f"{key}={value}")
     if experiment == "maze" and not metrics["path_matches_bfs"]:

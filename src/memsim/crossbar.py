@@ -284,12 +284,16 @@ def read_disturbance(x: Crossbar, i: int, j: int, p: PulseSpec) -> float:
     return abs(w1 - w0)
 
 
-def read_bit(x: Crossbar, i: int, j: int, p: PulseSpec,
-             guard: float = 0.05) -> tuple[int, Crossbar]:
+READ_GUARD = 0.05  # read_bit's relative guard band around the midpoint resistance
+MAX_PROGRAM_SWEEPS = 1000  # program_matrix's fixed-point sweep limit
+STDP_ANCHOR_W = 0.5  # the cell memory stdp_program synthesizes its pulses for
+
+
+def read_bit(x: Crossbar, i: int, j: int, p: PulseSpec) -> tuple[int, Crossbar]:
     """Measure the stored bit of cell (i, j) and return (bit, post-read snapshot).
 
     The resistance is computed from the read current v_read / R(w); values
-    within ``guard`` (relative) of the midpoint (r_on + r_off)/2 raise
+    within ``READ_GUARD`` (relative) of the midpoint (r_on + r_off)/2 raise
     AmbiguousBitError.  The read acts through the same device dynamics, so
     the returned snapshot carries the (bounded) disturbance.
     """
@@ -302,17 +306,16 @@ def read_bit(x: Crossbar, i: int, j: int, p: PulseSpec,
     i_meas = p.v_read / float(x.m[i, j])
     r_meas = p.v_read / i_meas
     mid = 0.5 * (x.hp.r_on + x.hp.r_off)
-    if abs(r_meas - mid) <= guard * mid:
+    if abs(r_meas - mid) <= READ_GUARD * mid:
         raise AmbiguousBitError(
-            f"cell ({i},{j}) reads R={r_meas:.6g}, inside the +-{guard:.0%} guard band around {mid:.6g}"
+            f"cell ({i},{j}) reads R={r_meas:.6g}, inside the +-{READ_GUARD:.0%} guard band around {mid:.6g}"
         )
     bit = 1 if r_meas < mid else 0
     w_new = _write_cell(float(x.w[i, j]), p.v_read, x.hp, p.duration)
     return bit, x.with_cell_w(i, j, w_new)
 
 
-def program_matrix(x: Crossbar, target: np.ndarray, tol: float = 1e-6,
-                   max_sweeps: int = 1000) -> Crossbar:
+def program_matrix(x: Crossbar, target: np.ndarray, tol: float = 1e-6) -> Crossbar:
     """Set the memristances so the read matrix A equals ``target``.
 
     Row-wise fixed-point iteration: each sweep recomputes the row conductance
@@ -353,7 +356,7 @@ def program_matrix(x: Crossbar, target: np.ndarray, tol: float = 1e-6,
             f"[r_on, r_off]", entries=bad)
 
     m = x.m.copy()
-    for _ in range(max_sweeps):
+    for _ in range(MAX_PROGRAM_SWEEPS):
         g = 1.0 / m
         denom = 1.0 / x.r_out + g.sum(axis=1)
         with np.errstate(divide="ignore"):
@@ -408,13 +411,13 @@ def apply_update(w: np.ndarray, rule: UpdateRule, data) -> np.ndarray:
 
 
 def stdp_program(delta_t: float, kernel: StdpKernel, hp: HpParams,
-                 v_mag: float = 1.0, anchor_w: float = 0.5) -> PulseSpec:
+                 v_mag: float = 1.0) -> PulseSpec:
     """Turn a spike-timing difference into a write pulse.
 
     The kernel value is a synaptic-weight change; the device memory moves
     opposite (w up means resistance up means weight down), so the pulse is
     synthesized to produce delta_w_device = -kernel(delta_t) on a cell at
-    ``anchor_w``, by inverting the exact flux solution of the write dynamics:
+    ``STDP_ANCHOR_W``, by inverting the exact flux solution of the write dynamics:
 
         duration = |delta_u| * beta * r_on / |v|,
         delta_u  = (xi/2) (w1^2 - w0^2) + (w1 - w0).
@@ -425,12 +428,12 @@ def stdp_program(delta_t: float, kernel: StdpKernel, hp: HpParams,
     if v_mag <= 0:
         raise ValueError("v_mag must be positive")
     dw_device = -kernel(delta_t)
-    w1 = anchor_w + dw_device
+    w1 = STDP_ANCHOR_W + dw_device
     if not 0.0 <= w1 <= 1.0:
         raise UnreachableDeltaError(
-            f"target memory {w1:.4g} outside [0,1] from anchor {anchor_w}"
+            f"target memory {w1:.4g} outside [0,1] from anchor {STDP_ANCHOR_W}"
         )
-    delta_u = float(hp_flux_coordinate(w1, hp) - hp_flux_coordinate(anchor_w, hp))
+    delta_u = float(hp_flux_coordinate(w1, hp) - hp_flux_coordinate(STDP_ANCHOR_W, hp))
     # dw/dt = -polarity*v/(beta R(w))  ->  delta_u = -polarity * v * T/(beta r_on)
     if delta_u == 0.0:
         v_write = hp.polarity * v_mag  # SET polarity for the degenerate zero pulse

@@ -295,19 +295,22 @@ def hp_analytic_w(v_integral, w0: float, p: HpParams):
     return out if out.ndim else float(out)
 
 
-def hp_volatile_analytic(i_signal, w0: float, p: HpParams, t: float, n_quad: int = 2048) -> float:
+VOLATILE_QUAD_STEPS = 2048  # hp_volatile_analytic's quadrature steps
+
+
+def hp_volatile_analytic(i_signal, w0: float, p: HpParams, t: float) -> float:
     """Unclamped window-free solution of dw/dt = alpha*w - polarity*I(t)/beta at time ``t``.
 
         w(t) = e^{alpha t} (w0 - polarity * (1/beta) * int_0^t e^{-alpha tau} I(tau) dtau)
 
-    computed by ``linear_response`` (rate -alpha) over ``n_quad`` steps of the
+    computed by ``linear_response`` (rate -alpha) over ``VOLATILE_QUAD_STEPS`` steps of the
     driving current.  ``i_signal`` is a DriveSignal interpreted as a current,
     or any vectorised callable of time.  With I = 0 this is the bare decay
     law w0 * e^{alpha t}.
     """
     if t == 0:
         return float(w0)
-    spec = IntegratorSpec(dt=t / n_quad, t_end=t)
+    spec = IntegratorSpec(dt=t / VOLATILE_QUAD_STEPS, t_end=t)
     w = linear_response(lambda tt: -p.polarity * np.asarray(i_signal(tt), dtype=float) / p.beta,
                         -p.alpha, spec, y0=w0)
     return float(w[-1])

@@ -134,7 +134,7 @@ class LinearReservoir:
     def trajectory(self, b: np.ndarray, inputs: Callable, spec: IntegratorSpec) -> np.ndarray:
         """States q on the grid of ``spec`` for dq/dt = a q + b e(t), one row per sample.
 
-        ``inputs`` maps an array of n times to the (n, m) encoded inputs e,
+        ``inputs`` maps an array of n times to the (n, m) inputs e,
         and is called twice, on the grid and on the midpoints.
         Each step is the exponential Simpson rule for the exact
         variation-of-constants step,
@@ -205,18 +205,15 @@ class MemristiveReservoir:
 
 @dataclass(frozen=True)
 class Reservoir:
-    """Input encoder -> fixed random dynamics -> linear mixing.
+    """Inputs -> fixed random dynamics -> linear mixing.
 
-    b mixes encoded inputs into the dynamics (dim q x dim u); h mixes states
+    b mixes the inputs into the dynamics (dim q x dim u); h mixes states
     into the N_g feature signals (N_g x out_dim, with N_g <= state dim).
-    The encoder is affine: E(u) = in_gain * u + in_offset.
     """
 
     dynamics: LinearReservoir | MemristiveReservoir
     b: np.ndarray
     h: np.ndarray
-    in_gain: float = 1.0
-    in_offset: float = 0.0
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float)
@@ -240,14 +237,11 @@ def rc_run(r: Reservoir, u_signal, spec: IntegratorSpec) -> Trace:
     or an (n, m) array, m being b's input width.  Channels g0..g{N_g-1}
     plus u0...
     """
-    def raw(t):
+    def inputs(t):
         return np.asarray(u_signal(t), dtype=float).reshape(np.shape(t) + (-1,))
 
-    def inputs(t):
-        return r.in_gain * raw(t) + r.in_offset
-
     feats = r.dynamics.trajectory(r.b, inputs, spec) @ r.h.T
-    us = raw(spec.dt * np.arange(spec.n_steps + 1))
+    us = inputs(spec.dt * np.arange(spec.n_steps + 1))
     channels = {f"g{i}": feats[:, i] for i in range(feats.shape[1])}
     for i in range(us.shape[1]):
         channels[f"u{i}"] = us[:, i]

@@ -6,7 +6,10 @@ Graph construction, the cycle space, the network state equation
 
 its exact linearization J = alpha I + polarity (chi/beta) (I + chi Omega W)^{-1}
 Omega diag(i) (Caravelli, Traversa & Di Ventra, PRE 95, 022140, 2017),
-spectral/relaxation analysis, and the maze-solving demo.
+spectral/relaxation analysis, and the maze-solving demo (Pershin & Di Ventra,
+PRE 84, 046703, 2011).  The maze route is read off the relaxed currents:
+current in a passive network only flows downhill in potential, so the walk
+from the entrance along the largest outgoing current reaches the exit.
 
 Omega is the orthogonal projector onto the cycle space (``cycle_projector``),
 the paper's object.  The same currents come from the mesh (KVL) form on the
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -79,6 +82,11 @@ class SingularNetworkError(SimulationError):
 
 
 class AmbiguousPathError(SimulationError):
+    """The maze's current walk found no forward current or did not reach the exit.
+
+    ``currents`` holds the relaxed edge currents the walk followed.
+    """
+
     def __init__(self, message, currents=None):
         super().__init__(message)
         self.currents = currents
@@ -343,32 +351,24 @@ def simulate_network(
     s,
     hp: HpParams,
     spec: IntegratorSpec,
-    w0=0.5,
+    w0: float = 0.5,
     steady_tol: float = 1e-6,
 ) -> NetworkRun:
     """Integrate the network equation with per-edge clamping to [0, 1].
 
-    ``s`` is the source vector over memristive edges (units V/r_on), or a
-    callable t -> vector, or None to derive it from the graph's EMFs.  Stops
-    early once the clamp-aware rate norm falls below ``steady_tol``.  The
-    trace carries w0..w{E-1} plus the instantaneous mean channel.  Every
-    step solves the currents in mesh form on ``cycle_basis(g)``.
+    ``s`` is the constant source vector over memristive edges (units V/r_on),
+    or None to derive it from the graph's EMFs; every memory starts at
+    ``w0``.  Stops early once the clamp-aware rate norm falls below
+    ``steady_tol``.  The trace carries w0..w{E-1} plus the instantaneous mean
+    channel.  Every step solves the currents in mesh form on
+    ``cycle_basis(g)``.
     """
     cycles = cycle_basis(g)
     n_e = cycles.shape[1]
-    if s is None:
-        s = source_vector(g, hp)
-    s_of_t: Callable[[float], np.ndarray]
-    if callable(s):
-        s_of_t = s
-    else:
-        s_arr = np.asarray(s, dtype=float)
-        if s_arr.shape != (n_e,):
-            raise ValueError(f"source vector must have shape ({n_e},), got {s_arr.shape}")
-        s_of_t = lambda t: s_arr
-    w = np.full(n_e, w0, dtype=float) if np.isscalar(w0) else np.asarray(w0, dtype=float).copy()
-    if w.shape != (n_e,):
-        raise ValueError(f"w0 must have shape ({n_e},)")
+    s = source_vector(g, hp) if s is None else np.asarray(s, dtype=float)
+    if s.shape != (n_e,):
+        raise ValueError(f"source vector must have shape ({n_e},), got {s.shape}")
+    w = np.full(n_e, w0, dtype=float)
 
     # the mean channel is filled row by row as the run goes, so that the
     # memory trace is never copied
@@ -384,7 +384,7 @@ def simulate_network(
         steady = bool(np.max(np.abs(clamped_rate(w, dw, 0.0, 1.0))) < steady_tol)
         return steady
 
-    tr = integrate(lambda w, t: memnet_rhs(w, s_of_t(t), cycles, hp), w, spec,
+    tr = integrate(lambda w, t: memnet_rhs(w, s, cycles, hp), w, spec,
                    names=[f"w{i}" for i in range(n_e)], poststep=clamp01, stop=reached_steady)
     channels = dict(tr.channels)
     channels["mean_w"] = mean_w[: taken + 1]
@@ -464,16 +464,18 @@ class SocResult:
     clamped_fraction: float  # share of edges at w = 0 or w = 1 where it was linearized
 
 
+MAX_GRAPH_DRAWS = 200  # random_network gives up after this many disconnected draws
+
+
 def random_network(
     rng: np.random.Generator,
     n_nodes: int = 100,
     edge_prob: float = 0.045,
     n_sources: int = 5,
     source_volts: float = 1.0,
-    max_tries: int = 200,
 ) -> CircuitGraph:
     """Connected Erdos-Renyi memristive network with random series sources."""
-    for _ in range(max_tries):
+    for _ in range(MAX_GRAPH_DRAWS):
         mask = rng.random((n_nodes, n_nodes)) < edge_prob
         pairs = [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes) if mask[i, j]]
         if len(pairs) < n_nodes:
@@ -502,26 +504,26 @@ def _log_resampled_r2(t: np.ndarray, x: np.ndarray, t_lo: float, t_hi: float, n:
     return r2
 
 
-def soc_experiment(
-    g: CircuitGraph,
-    hp: HpParams,
-    spec: IntegratorSpec | None = None,
-    rate_decades: float = 2.5,
-    n_samples: int = 32768,
-    gamma_window: tuple[float, float] = (2.0, 0.5),
-    fit_band: tuple[float, float] = (10.0, 30.0),
-) -> SocResult:
+# soc_experiment's analysis constants (see its docstring)
+RATE_DECADES = 2.5
+RELAXATION_SAMPLES = 32768
+GAMMA_WINDOW = (2.0, 0.5)
+FIT_BAND = (10.0, 30.0)
+
+
+def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec | None = None) -> SocResult:
     """Relaxation-exponent and spectrum-slope analysis of a driven network.
 
     Procedure: relax the network to its DC configuration, linearize there,
-    take the negative branch of the spectrum (rates within ``rate_decades``
+    take the negative branch of the spectrum (rates within ``RATE_DECADES``
     of the fastest), build <w(t)> = tr(e^{At} W0)/N with W0 = I/2 on a
-    uniform grid spanning 6/lambda_min, then fit
+    uniform grid of ``RELAXATION_SAMPLES`` points spanning 6/lambda_min,
+    then fit
 
     - gamma: log-log slope of <w(t)> on the scaling window
-      (gamma_window[0]/lambda_max, gamma_window[1]/lambda_min),
+      (GAMMA_WINDOW[0]/lambda_max, GAMMA_WINDOW[1]/lambda_min),
     - spectrum slope: periodogram log-log slope on the band
-      (lambda_max/fit_band[0], fit_band[1]*lambda_max)/(2 pi), clipped at
+      (lambda_max/FIT_BAND[0], FIT_BAND[1]*lambda_max)/(2 pi), clipped at
       the Nyquist frequency of the relaxation grid.
 
     The power-law gate is the R^2 of the log-resampled time-domain fit
@@ -541,15 +543,15 @@ def soc_experiment(
     if neg.size == 0:
         raise SimulationError("linearization has no negative branch to relax on")
     lam_max = neg.max()
-    rates = neg[neg >= lam_max * 10.0 ** (-rate_decades)]
+    rates = neg[neg >= lam_max * 10.0 ** (-RATE_DECADES)]
     lam_min = rates.min()
 
     t_end = 6.0 / lam_min
-    t = np.linspace(0.0, t_end, n_samples)
+    t = np.linspace(0.0, t_end, RELAXATION_SAMPLES)
     x = 0.5 * np.exp(-np.outer(t, rates)).mean(axis=1)
     relax = Trace(t0=0.0, dt=t[1] - t[0], channels={"mean_w": x})
 
-    t_lo, t_hi = gamma_window[0] / lam_max, gamma_window[1] / lam_min
+    t_lo, t_hi = GAMMA_WINDOW[0] / lam_max, GAMMA_WINDOW[1] / lam_min
     msk = (t > t_lo) & (t <= t_hi) & (x > 0)
     if np.count_nonzero(msk) >= 8:
         gamma, _ = loglog_slope(t[msk], x[msk])
@@ -559,8 +561,8 @@ def soc_experiment(
         gamma, _ = loglog_slope(*_corner_window(t, x, lam_max, lam_min))
         fit_r2 = _log_resampled_r2(t, x, 0.3 / lam_max, 5.0 / lam_min)
     nyquist = 0.5 / relax.dt
-    f_hi = min(lam_max * fit_band[1] / (2.0 * np.pi), 0.999 * nyquist)
-    slope = power_spectrum_exponent(relax, "mean_w", (lam_max / (2.0 * np.pi) / fit_band[0], f_hi))
+    f_hi = min(lam_max * FIT_BAND[1] / (2.0 * np.pi), 0.999 * nyquist)
+    slope = power_spectrum_exponent(relax, "mean_w", (lam_max / (2.0 * np.pi) / FIT_BAND[0], f_hi))
     return SocResult(
         gamma=float(gamma),
         spectrum_slope=float(slope),
@@ -715,14 +717,17 @@ def solve_maze(
     hp: HpParams,
     v_dc: float,
     spec: IntegratorSpec | None = None,
-    threshold: float = 0.5,
 ) -> MazeResult:
-    """Self-organize the maze circuit under DC and extract the conducting path.
+    """Self-organize the maze circuit under DC and read the route off its currents.
 
-    Path edges are those whose steady |current| is at least ``threshold``
-    times the maximum edge current; they must form a connected entrance->exit
-    route or AmbiguousPathError is raised.  Contrast is min(on-path current)
-    / max(off-path current) (infinite when nothing flows off the path).
+    Current in a passive network only flows downhill in potential, so the
+    walk that leaves the entrance along the largest outgoing edge current,
+    and repeats from each cell it reaches, ends at the exit without a
+    threshold.  ``path`` lists the walked edges in edge-index order.
+    Contrast is min(on-path |current|) / max(off-path |current|) (infinite
+    when nothing flows off the path).  Raises AmbiguousPathError when a cell
+    has no forward current (v_dc <= 0 drives none) or the walk takes more
+    steps than there are edges.
     """
     if spec is None:
         spec = IntegratorSpec(method="euler", dt=0.005, t_end=100.0)
@@ -733,33 +738,25 @@ def solve_maze(
     n_e = cycles.shape[1]
     w_final = np.array([run.trace[f"w{i}"][-1] for i in range(n_e)])
     cur = edge_currents(w_final, s, cycles, hp)
-    mags = np.abs(cur)
-    cut = threshold * mags.max()
     mem_edges = g.memristive_edges
     inv = {v: k for k, v in index.items()}
-    on = [k for k in range(n_e) if mags[k] >= cut]
-    off = [k for k in range(n_e) if mags[k] < cut]
-    # path edges must form a connected entrance->exit route
-    adj: dict[int, list[int]] = {}
-    for k in on:
-        adj.setdefault(mem_edges[k].tail, []).append(mem_edges[k].head)
-        adj.setdefault(mem_edges[k].head, []).append(mem_edges[k].tail)
-    start, goal = index[m.entrance], index[m.exit]
-    seen = {start}
-    q = deque([start])
-    while q:
-        v = q.popleft()
-        for u in adj.get(v, []):
-            if u not in seen:
-                seen.add(u)
-                q.append(u)
-    if goal not in seen:
-        raise AmbiguousPathError(
-            f"threshold {threshold} yields a disconnected path "
-            f"(max current {mags.max():.3g}, {len(on)} edges above cut)",
-            currents=cur,
-        )
-    off_max = max((mags[k] for k in off), default=0.0)
-    contrast = float(min(mags[k] for k in on) / off_max) if off_max > 0 else float("inf")
-    path = tuple((inv[mem_edges[k].tail], inv[mem_edges[k].head]) for k in on)
+    # (current leaving the node along edge k, k, the node at its other end)
+    outgoing: dict[int, list[tuple[float, int, int]]] = {}
+    for k, e in enumerate(mem_edges):
+        outgoing.setdefault(e.tail, []).append((cur[k], k, e.head))
+        outgoing.setdefault(e.head, []).append((-cur[k], k, e.tail))
+    walk: list[int] = []
+    node = index[m.entrance]
+    while node != index[m.exit]:
+        flow, k, nxt = max(outgoing[node], key=lambda x: x[0])
+        if flow <= 0 or len(walk) == n_e:
+            raise AmbiguousPathError(f"no forward current leads from cell {inv[node]} to the exit "
+                                     f"(largest {flow:.3g} A, {len(walk)} steps walked)", currents=cur)
+        walk.append(k)
+        node = nxt
+    mags = np.abs(cur)
+    on = np.isin(np.arange(n_e), walk)
+    off_max = mags[~on].max(initial=0.0)
+    contrast = float(mags[on].min() / off_max) if off_max > 0 else float("inf")
+    path = tuple((inv[mem_edges[k].tail], inv[mem_edges[k].head]) for k in sorted(walk))
     return MazeResult(path=path, contrast=contrast, currents=cur, run=run)

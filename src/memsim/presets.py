@@ -1,9 +1,9 @@
 """Named experiment presets: the figure-level reproductions and demo runs.
 
-Each preset is a plain JSON-serializable dict validated against the
-experiment's parameter schema (see cli.PARAM_SCHEMAS).  Device parameters
-follow the source figures where stated; everything else is a documented
-desk-scale choice.
+Each experiment has one preset, a plain JSON-serializable dict whose fields
+are the experiment's parameters; a config file may override any of them with
+a value of the same type.  Device parameters follow the source figures where
+stated; everything else is a documented desk-scale choice.
 """
 
 from __future__ import annotations
@@ -126,7 +126,6 @@ MAZE = {
     "v_dc": 100.0,
     "dt": 0.005,
     "t_end": 100.0,
-    "threshold": 0.5,
 }
 
 CROSSBAR_MVM = {
@@ -145,7 +144,6 @@ CROSSBAR_TRAIN = {
     "n_inputs": 2,
     "n_outputs": 2,
     "cov_diag": [4.0, 1.0],
-    "epochs": 1,
 }
 
 STDP = {

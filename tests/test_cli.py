@@ -1,3 +1,4 @@
+import contextlib
 import json
 
 import numpy as np
@@ -6,13 +7,32 @@ import pytest
 import memsim.circuits
 import memsim.devices
 import memsim.learning
-from memsim.cli import (build_parser, main, run_hh, run_hysteresis, run_nef_demo, run_plant,
-                        run_rc_demo)
+from memsim.cli import (RUNNERS, build_parser, main, run_hh, run_hysteresis, run_nef_demo,
+                        run_plant, run_rc_demo)
 from memsim.presets import PRESETS, default_preset
 
 
 def read(path):
     return path.read_bytes()
+
+
+class _AllFieldsRead(Exception):
+    pass
+
+
+class _ReadRecorder(dict):
+    """Preset fields that record which ones are read; the read of the last
+    unread field stops the run, since nothing is left to learn from it."""
+
+    def __init__(self, fields):
+        super().__init__(fields)
+        self.unread = set(fields)
+
+    def __getitem__(self, key):
+        self.unread.discard(key)
+        if not self.unread:
+            raise _AllFieldsRead
+        return super().__getitem__(key)
 
 
 class TestCliBasics:
@@ -27,10 +47,14 @@ class TestCliBasics:
                        (out / "metrics.txt").read_text().splitlines())
         assert float(metrics["dig_scaling_ratio"]) == pytest.approx(1.0)
         assert float(metrics["memr_scaling_ratio"]) == pytest.approx(1.0)
+        assert json.loads((out / "manifest.json").read_text())["preset"] == "landauer"
 
-    def test_unknown_preset_exits_2(self, tmp_path, capsys):
-        assert main(["energy", "--preset", "nope", "--out", str(tmp_path)]) == 2
-        assert "unknown preset" in capsys.readouterr().err
+    def test_preset_flag_refused(self, tmp_path, capsys):
+        # every experiment has exactly one preset, so there is nothing to choose
+        with pytest.raises(SystemExit) as exc:
+            main(["energy", "--preset", "landauer", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--preset" in capsys.readouterr().err
 
     def test_invalid_config_field_named(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -102,23 +126,48 @@ class TestMazeCommand:
         mz.write_text("S...\n###.\n...E\n")
         assert main(["maze", "--maze", str(mz), "--out", str(tmp_path)]) == 0
 
-    def test_tied_paths_exit_3(self, tmp_path, capsys):
-        # three tied shortest routes: the 50% cut cannot isolate one
+    @staticmethod
+    def run_maze_file(tmp_path, text, *extra):
         mz = tmp_path / "m.txt"
-        mz.write_text("S...\n##..\n...E\n")
-        assert main(["maze", "--maze", str(mz), "--out", str(tmp_path)]) == 3
-        assert "disconnected path" in capsys.readouterr().err
+        mz.write_text(text)
+        code = main(["maze", "--maze", str(mz), "--out", str(tmp_path), *extra])
+        metrics_path = tmp_path / "maze" / "metrics.txt"
+        metrics = (dict(line.split("=", 1) for line in metrics_path.read_text().splitlines())
+                   if code == 0 else None)
+        return code, metrics
+
+    def test_tied_paths_walk_one_route(self, tmp_path):
+        # three tied shortest routes all conduct; the current walk takes one
+        code, metrics = self.run_maze_file(tmp_path, "S...\n##..\n...E\n")
+        assert code == 0
+        assert metrics["path_matches_bfs"] == "True"
+        assert metrics["path_edges"] == metrics["bfs_edges"] == "5"
 
     def test_tied_routes_that_all_conduct_exit_0(self, tmp_path):
-        # every adjacency lies on one of the tied shortest routes, and the cut
-        # keeps edges of several of them
-        mz = tmp_path / "m.txt"
-        mz.write_text("S....\n.#.#.\n.....\n.#.#.\n....E\n")
-        assert main(["maze", "--maze", str(mz), "--out", str(tmp_path)]) == 0
-        metrics = dict(line.split("=", 1) for line in
-                       (tmp_path / "maze" / "metrics.txt").read_text().splitlines())
+        # every adjacency lies on one of the tied shortest routes, and all of
+        # them conduct; the walk follows one
+        code, metrics = self.run_maze_file(tmp_path, "S....\n.#.#.\n.....\n.#.#.\n....E\n")
+        assert code == 0
         assert metrics["path_matches_bfs"] == "True"
-        assert metrics["bfs_edges"] == "8"
+        assert metrics["path_edges"] == metrics["bfs_edges"] == "8"
+
+    def test_long_maze_with_split_arms(self, tmp_path):
+        # one shortest route whose current splits over near-equal parallel
+        # arms: no current cut isolates it, the walk does
+        text = ("S..#...#.....#...#.\n.#.###.#.#.#.#.#.#.\n.#.......#.#.#.#...\n"
+                ".#.#.#.###.#.#.###.\n.#...#.....#.#...#.\n.#.#####.###.#.#.#.\n"
+                ".#.#.........#.#.#.\n.#.###.###.#####.#.\n.......#.........#E\n")
+        code, metrics = self.run_maze_file(tmp_path, text)
+        assert code == 0
+        assert metrics["path_matches_bfs"] == "True"
+        assert metrics["path_edges"] == metrics["bfs_edges"] == "46"
+
+    @pytest.mark.parametrize("v_dc", [0.0, -100.0])
+    def test_no_forward_drive_exits_3(self, tmp_path, capsys, v_dc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"schema": 1, "experiment": "maze", "params": {"v_dc": v_dc}}))
+        assert main(["maze", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "no forward current" in capsys.readouterr().err
 
     def test_invalid_maze_exits_2(self, tmp_path, capsys):
         mz = tmp_path / "m.txt"
@@ -176,9 +225,13 @@ class TestQuickExperiments:
                      "--out", str(tmp_path)]) == 0
 
     def test_every_experiment_has_presets(self):
+        # one preset per experiment, and its runner reads every field of it
         for name, presets in PRESETS.items():
-            assert presets, name
-            assert default_preset(name) in presets
+            assert list(presets) == [default_preset(name)], name
+            params = _ReadRecorder(presets[default_preset(name)])
+            with contextlib.suppress(_AllFieldsRead):
+                RUNNERS[name](params, np.random.default_rng(0))
+            assert not params.unread, (name, params.unread)
 
 
 class TestPrescribedDriveSolvedDirectly:

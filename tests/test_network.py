@@ -576,7 +576,7 @@ class TestMaze:
         while n_ok < 8 and trials < 200:
             trials += 1
             h, w = int(rng.integers(4, 9)), int(rng.integers(4, 9))
-            maze = _random_unique_maze(rng, h, w)
+            maze = _random_maze(rng, h, w)
             if maze is None:
                 continue
             result = solve_maze(maze, hp, 100.0)
@@ -585,6 +585,25 @@ class TestMaze:
             found_adj = {tuple(sorted(p)) for p in result.path}
             assert found_adj == oracle_adj
             assert result.contrast > 1.0
+            n_ok += 1
+        assert n_ok == 8
+
+    def test_random_tied_mazes_walk_one_shortest_route(self):
+        # all tied routes conduct; the current walk must still be one of them
+        rng = np.random.default_rng(43)
+        hp = HpParams(alpha=0.1, beta=1.0, r_on=1.0, r_off=100.0)
+        n_ok = 0
+        trials = 0
+        while n_ok < 8 and trials < 200:
+            trials += 1
+            h, w = int(rng.integers(4, 9)), int(rng.integers(4, 9))
+            maze = _random_maze(rng, h, w, tied=True)
+            if maze is None:
+                continue
+            result = solve_maze(maze, hp, 100.0)
+            found_adj = {tuple(sorted(p)) for p in result.path}
+            assert found_adj <= shortest_route_edges(maze)
+            assert len(result.path) == len(bfs_shortest_path(maze)) - 1
             n_ok += 1
         assert n_ok == 8
 
@@ -610,7 +629,8 @@ def _count_shortest_paths(m: MazeSpec):
     return count[m.exit]
 
 
-def _random_unique_maze(rng, h, w):
+def _random_maze(rng, h, w, tied=False):
+    """A random maze whose shortest route is unique, or tied when ``tied``."""
     grid = (rng.random((h, w)) < 0.72)
     grid[0, 0] = grid[h - 1, w - 1] = True
     rows = []
@@ -623,7 +643,7 @@ def _random_unique_maze(rng, h, w):
         m = MazeSpec.from_text("\n".join(rows))
     except ValueError:
         return None
-    if _count_shortest_paths(m) != 1:
+    if (_count_shortest_paths(m) > 1) != tied:
         return None
     if len(bfs_shortest_path(m)) < max(h, w):
         return None
