@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import IntegratorSpec, Trace, integrate
 from .devices import HpParams, clamp01
-from .network import CircuitGraph, cycle_basis, edge_currents, memnet_rhs
+from .network import CircuitGraph, edge_currents, kirchhoff_system, memnet_rhs
 
 __all__ = [
     "elm_features",
@@ -173,11 +173,11 @@ class MemristiveReservoir:
     hp: HpParams
 
     def __post_init__(self):
-        object.__setattr__(self, "_cycles", cycle_basis(self.graph))
+        object.__setattr__(self, "_system", kirchhoff_system(self.graph))
 
     @property
     def dim(self) -> int:
-        return self._cycles.shape[1]
+        return self._system.n_edges
 
     @property
     def out_dim(self) -> int:
@@ -194,12 +194,12 @@ class MemristiveReservoir:
         def drive(t):
             return b @ inputs(t)
 
-        tr = integrate(lambda w, t: memnet_rhs(w, drive(t), self._cycles, self.hp),
+        tr = integrate(lambda w, t: memnet_rhs(w, drive(t), self._system, self.hp),
                        np.full(self.dim, 0.5), spec, poststep=clamp01)
         out = np.empty((tr.n_samples, self.out_dim))
         out[:, :self.dim] = np.column_stack([tr[name] for name in tr.names])
         for k, t in enumerate(tr.times.tolist()):
-            out[k, self.dim:] = edge_currents(out[k, :self.dim], drive(t), self._cycles, self.hp)
+            out[k, self.dim:] = edge_currents(out[k, :self.dim], drive(t), self._system, self.hp)
         return out
 
 

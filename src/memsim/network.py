@@ -12,17 +12,31 @@ current in a passive network only flows downhill in potential, so the walk
 from the entrance along the largest outgoing current reaches the exit.
 
 Omega is the orthogonal projector onto the cycle space (``cycle_projector``),
-the paper's object.  The same currents come from the mesh (KVL) form on the
-signed fundamental-cycle matrix B (C x E, C = E - N + 1, ``cycle_basis``):
+the paper's object.  The simulation paths solve the same currents in the
+smaller of the two Kirchhoff systems of the graph, R = diag(1 + chi w) being
+the edge resistances in units of r_on and G = R^{-1}:
 
-    i = B^T K^{-1} B S,   K = B (I + chi W) B^T,
+- mesh (KVL) form, on the signed fundamental-cycle matrix B (C x E,
+  C = E - N + 1, ``cycle_basis``), with C cycle currents as unknowns:
+  i = B^T K^{-1} B S,  K = B R B^T;
+- nodal (KCL) form, on the reduced incidence matrix A ((N - 1) x E, node 0
+  grounded), with N - 1 node potentials as unknowns:
+  i = G S - G A^T L^{-1} A G S,  L = A G A^T.
 
-through the identity (I + chi Omega W)^{-1} Omega = B^T K^{-1} B.  K is
-symmetric positive definite for w in [0, 1] and has C unknowns instead of E.
-``edge_currents`` accepts either operator: ``simulate_network``,
-``solve_maze``, ``soc_experiment`` (and through it ``linearize``) and
-``learning.MemristiveReservoir`` pass B; the projector form is kept as the
-reference the tests and independent checks compare against.
+Both follow from (I + chi Omega W)^{-1} Omega = B^T (B R B^T)^{-1} B
+= G - G A^T (A G A^T)^{-1} A G: B^T K^{-1} B R and G A^T L^{-1} A are
+projectors that annihilate each other (B A^T = 0) and have ranks C and
+N - 1, which add up to E, so they sum to the identity; multiply by G.  K and
+L are symmetric positive definite for w in [0, 1].
+
+``kirchhoff_system(g)`` builds, once per graph, the form with fewer unknowns
+(nodal when N - 1 < C: the dense soc graphs; mesh otherwise: trees and
+mazes) together with the index triples that assemble K or L by one
+``np.bincount``.  ``simulate_network`` builds it and hands it back as
+``NetworkRun.system``; ``soc_experiment`` (and through it ``linearize``),
+``solve_maze`` and ``learning.MemristiveReservoir`` pass it to
+``edge_currents``.  The projector form is kept as the reference the tests and
+independent checks compare against.
 
 Voltage sources come in two forms: a series EMF on a memristive edge (the
 ``value`` field), or a pure source edge.  Pure source edges are eliminated
@@ -56,6 +70,8 @@ __all__ = [
     "cycle_basis",
     "cycle_projector",
     "source_vector",
+    "KirchhoffSystem",
+    "kirchhoff_system",
     "memnet_rhs",
     "edge_currents",
     "NetworkRun",
@@ -271,8 +287,8 @@ def cycle_basis(g: CircuitGraph) -> np.ndarray:
     Rows are the fundamental cycles of a BFS spanning tree over the memristive
     edges, after pure source edges are contracted; columns follow
     ``g.memristive_edges``.  C = E - N + 1 (0 for a tree; a self-loop is its
-    own cycle).  This is the operator the hot paths hand to ``edge_currents``.
-    Raises DisconnectedGraphError if the contracted graph is disconnected.
+    own cycle).  Raises DisconnectedGraphError if the contracted graph is
+    disconnected.
     """
     n_nodes, edges, _ = reduce_sources(g)
     return _fundamental_cycles(n_nodes, edges)
@@ -284,7 +300,7 @@ def cycle_projector(g: CircuitGraph) -> np.ndarray:
     Built from the fundamental-cycle basis: Omega = B^T (B B^T)^+ B with
     B = ``cycle_basis(g)``.  Symmetric, idempotent, eigenvalues in {0, 1},
     rank E - N + 1 for a connected graph.  The paper's form of the network
-    equation; the simulation paths use B itself.
+    equation; the simulation paths use ``kirchhoff_system(g)``.
     """
     b = cycle_basis(g)
     n_edges = b.shape[1]
@@ -299,44 +315,127 @@ def source_vector(g: CircuitGraph, hp: HpParams) -> np.ndarray:
     return emf / hp.r_on
 
 
-def edge_currents(w: np.ndarray, s: np.ndarray, cycles: np.ndarray, hp: HpParams) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class KirchhoffSystem:
+    """The current system of one graph, in nodal or mesh form (``kirchhoff_system``).
+
+    ``operator`` is the reduced incidence matrix A ((N-1) x E, node 0
+    grounded) in nodal form, or the cycle matrix B (C x E) in mesh form.
+    ``operator . diag(x) . operator^T`` is assembled by ``np.bincount`` over
+    the (row * n + col, edge, sign) triples ``flat``, ``edge``, ``sign``,
+    one per pair of nonzeros that share a column.
+    """
+
+    form: str  # "nodal" | "mesh"
+    operator: np.ndarray
+    flat: np.ndarray
+    edge: np.ndarray
+    sign: np.ndarray
+
+    @property
+    def n_edges(self) -> int:
+        return self.operator.shape[1]
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """operator . diag(x) . operator^T, scattered from the triples."""
+        n = self.operator.shape[0]
+        return np.bincount(self.flat, weights=self.sign * x[self.edge], minlength=n * n).reshape(n, n)
+
+    def currents(self, w: np.ndarray, s: np.ndarray, chi: float) -> np.ndarray:
+        """Edge currents at memories ``w`` for sources ``s`` (E or E x k); see ``edge_currents``."""
+        r = 1.0 + chi * w
+        op = self.operator
+        if self.form == "mesh":
+            return op.T @ np.linalg.solve(self.matrix(r), op @ s)
+        if not r.min() > 0.0:  # also refuses NaN
+            raise SingularNetworkError("network current system is singular: a resistance is not positive")
+        g = 1.0 / r
+        g_col = g if s.ndim == 1 else g[:, None]
+        gs = g_col * s
+        i = gs - g_col * (op.T @ np.linalg.solve(self.matrix(g), op @ gs))
+        if not np.isfinite(i).all():
+            raise SingularNetworkError("network current system is singular: non-finite currents")
+        return i
+
+
+def _scatter_triples(op: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row * n + col, edge, op[row, edge] * op[col, edge]) over the nonzero pairs of each column."""
+    n = op.shape[0]
+    flat, edge, sign = [], [], []
+    for e, col in enumerate(op.T):
+        rows = np.flatnonzero(col)
+        flat.append((rows[:, None] * n + rows[None, :]).ravel())
+        edge.append(np.full(rows.size ** 2, e))
+        sign.append(np.outer(col[rows], col[rows]).ravel())
+    if not flat:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
+    return np.concatenate(flat), np.concatenate(edge), np.concatenate(sign)
+
+
+def kirchhoff_system(g: CircuitGraph) -> KirchhoffSystem:
+    """The current solver of the source-contracted graph, built once per graph.
+
+    Takes the form with fewer unknowns: nodal (N - 1 node potentials) when
+    N - 1 < C, mesh (C cycle currents) otherwise, so trees and sparse graphs
+    such as mazes take mesh form and dense ones such as soc take nodal form.
+    Raises DisconnectedGraphError if the contracted graph is disconnected.
+    """
+    n_nodes, edges, _ = reduce_sources(g)
+    cycles = _fundamental_cycles(n_nodes, edges)
+    if n_nodes - 1 < cycles.shape[0]:
+        incidence = np.zeros((n_nodes, len(edges)))
+        for k, (tail, head) in enumerate(edges):
+            incidence[tail, k] -= 1.0
+            incidence[head, k] += 1.0
+        form, op = "nodal", incidence[1:]
+    else:
+        form, op = "mesh", cycles
+    return KirchhoffSystem(form, op, *_scatter_triples(op))
+
+
+def edge_currents(w: np.ndarray, s: np.ndarray, system, hp: HpParams) -> np.ndarray:
     """Edge currents of the memristive network at memories ``w`` (amperes).
 
-    ``cycles`` is either operator of the cycle space:
+    ``system`` is either
 
-    - the C x E fundamental-cycle matrix B (``cycle_basis``), used on every
-      simulation path: i = B^T K^{-1} B S with K = B (I + chi W) B^T, a
-      C x C mesh system; a graph without cycles (C = 0) carries no current;
-    - the square E x E projector Omega (``cycle_projector``), the paper's
-      form kept as the reference: i = (I + chi Omega W)^{-1} Omega S.
+    - a ``KirchhoffSystem`` (``kirchhoff_system``), which ``simulate_network``,
+      ``linearize`` from ``soc_experiment``, ``solve_maze`` and
+      ``learning.MemristiveReservoir`` pass.  It is in nodal form when the
+      graph has fewer node potentials than cycles (N - 1 < C):
+      i = G S - G A^T L^{-1} A G S with L = A G A^T and G = diag(1 / (1 + chi w));
+      in mesh form otherwise: i = B^T K^{-1} B S with K = B G^{-1} B^T, so a
+      graph without cycles (C = 0) carries no current.  The two agree by
+      B^T (B G^{-1} B^T)^{-1} B = G - G A^T (A G A^T)^{-1} A G (see the
+      module docstring);
+    - the E x E projector Omega (``cycle_projector``), the paper's form kept
+      as the reference: i = (I + chi Omega W)^{-1} Omega S.
 
-    A square argument is taken as the projector.  The only square cycle
-    matrix is the identity of a graph made of self-loops, where the two forms
-    agree.  ``s`` may also be an E x k matrix: column k of the result is then
-    driven by column k of ``s``.  Raises SingularNetworkError when the system
-    is singular.
+    ``s`` may also be an E x k matrix: column k of the result is then driven
+    by column k of ``s``.  Raises SingularNetworkError when the system is
+    singular; in nodal form also when a resistance 1 + chi w is not positive
+    or the currents are not finite.
     """
     w = np.asarray(w, dtype=float)
     s = np.asarray(s, dtype=float)
-    chi = hp.xi
     try:
-        if cycles.shape[0] == cycles.shape[1]:
-            m = np.eye(len(w)) + chi * cycles * w[None, :]
-            return np.linalg.solve(m, cycles @ s)
-        k = (cycles * (1.0 + chi * w)[None, :]) @ cycles.T
-        return cycles.T @ np.linalg.solve(k, cycles @ s)
+        if isinstance(system, KirchhoffSystem):
+            return system.currents(w, s, hp.xi)
+        if system.shape != (w.size, w.size):
+            raise ValueError(f"the projector must be {w.size} x {w.size}, got {system.shape}")
+        m = np.eye(w.size) + hp.xi * system * w[None, :]
+        return np.linalg.solve(m, system @ s)
     except np.linalg.LinAlgError as exc:
         raise SingularNetworkError(f"network current system is singular: {exc}") from exc
 
 
-def memnet_rhs(w, s, cycles: np.ndarray, hp: HpParams) -> np.ndarray:
-    """dw/dt = alpha w - polarity * i / beta, with i = ``edge_currents(w, s, cycles, hp)``.
+def memnet_rhs(w, s, system, hp: HpParams) -> np.ndarray:
+    """dw/dt = alpha w - polarity * i / beta, with i = ``edge_currents(w, s, system, hp)``.
 
-    ``cycles`` is the cycle basis B or the projector Omega (see
+    ``system`` is a ``KirchhoffSystem`` or the projector Omega (see
     ``edge_currents``); both give (I + chi Omega W)^{-1} Omega S.
     """
     w = np.asarray(w, dtype=float)
-    return hp.alpha * w - hp.polarity * edge_currents(w, s, cycles, hp) / hp.beta
+    return hp.alpha * w - hp.polarity * edge_currents(w, s, system, hp) / hp.beta
 
 
 @dataclass(frozen=True)
@@ -344,6 +443,7 @@ class NetworkRun:
     trace: Trace
     steady: bool
     stop_reason: str  # "steady" | "t_end"
+    system: KirchhoffSystem  # the current solver the run stepped with
 
 
 def simulate_network(
@@ -360,11 +460,12 @@ def simulate_network(
     or None to derive it from the graph's EMFs; every memory starts at
     ``w0``.  Stops early once the clamp-aware rate norm falls below
     ``steady_tol``.  The trace carries w0..w{E-1} plus the instantaneous mean
-    channel.  Every step solves the currents in mesh form on
-    ``cycle_basis(g)``.
+    channel.  Every step solves the currents with ``kirchhoff_system(g)``,
+    built once here and returned as ``NetworkRun.system`` for the caller's
+    own solves.
     """
-    cycles = cycle_basis(g)
-    n_e = cycles.shape[1]
+    system = kirchhoff_system(g)
+    n_e = system.n_edges
     s = source_vector(g, hp) if s is None else np.asarray(s, dtype=float)
     if s.shape != (n_e,):
         raise ValueError(f"source vector must have shape ({n_e},), got {s.shape}")
@@ -384,29 +485,30 @@ def simulate_network(
         steady = bool(np.max(np.abs(clamped_rate(w, dw, 0.0, 1.0))) < steady_tol)
         return steady
 
-    tr = integrate(lambda w, t: memnet_rhs(w, s, cycles, hp), w, spec,
+    tr = integrate(lambda w, t: memnet_rhs(w, s, system, hp), w, spec,
                    names=[f"w{i}" for i in range(n_e)], poststep=clamp01, stop=reached_steady)
     channels = dict(tr.channels)
     channels["mean_w"] = mean_w[: taken + 1]
     trace = Trace(t0=0.0, dt=spec.dt, channels=channels)
-    return NetworkRun(trace=trace, steady=steady, stop_reason="steady" if steady else "t_end")
+    return NetworkRun(trace=trace, steady=steady, stop_reason="steady" if steady else "t_end", system=system)
 
 
-def linearize(s, cycles: np.ndarray, hp: HpParams, w_star) -> np.ndarray:
+def linearize(s, system, hp: HpParams, w_star) -> np.ndarray:
     """Exact Jacobian of memnet_rhs at w_star.
 
     Differentiating M i = Omega S, with M = I + chi Omega W, gives
     di/dw_j = -chi M^{-1} Omega e_j i_j, so J = alpha I + polarity (chi/beta)
     M^{-1} Omega diag(i) (Caravelli, Traversa & Di Ventra, PRE 95, 022140,
     2017).  M^{-1} Omega is one ``edge_currents`` call with the identity as
-    source matrix, so ``cycles`` may be the cycle basis B, where M^{-1} Omega
-    = B^T K^{-1} B (the form ``soc_experiment`` uses), or the projector Omega.
+    source matrix, so ``system`` may be a ``KirchhoffSystem`` (what
+    ``soc_experiment`` passes), where M^{-1} Omega is G - G A^T L^{-1} A G in
+    nodal form and B^T K^{-1} B in mesh form, or the projector Omega.
     Raises SingularNetworkError if the current system is singular and
     SimulationError on non-finite entries.
     """
     w_star = np.asarray(w_star, dtype=float)
     # column j of M^{-1} Omega: the currents a unit source on edge j drives
-    unit_response = edge_currents(w_star, np.eye(w_star.size), cycles, hp)
+    unit_response = edge_currents(w_star, np.eye(w_star.size), system, hp)
     i = unit_response @ np.asarray(s, dtype=float)
     a = (hp.polarity * hp.xi / hp.beta) * unit_response * i[None, :]
     a[np.diag_indices_from(a)] += hp.alpha
@@ -507,6 +609,7 @@ def _log_resampled_r2(t: np.ndarray, x: np.ndarray, t_lo: float, t_hi: float, n:
 # soc_experiment's analysis constants (see its docstring)
 RATE_DECADES = 2.5
 RELAXATION_SAMPLES = 32768
+RELAXATION_BLOCK = 1024  # rows of the relaxation evaluated at once
 GAMMA_WINDOW = (2.0, 0.5)
 FIT_BAND = (10.0, 30.0)
 
@@ -533,11 +636,10 @@ def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec | None = 
     """
     if spec is None:
         spec = IntegratorSpec(method="euler", dt=0.05, t_end=200.0)
-    cycles = cycle_basis(g)
     s = source_vector(g, hp)
     run = simulate_network(g, s, hp, spec, w0=0.5)
-    w_star = np.array([run.trace[f"w{i}"][-1] for i in range(cycles.shape[1])])
-    a = linearize(s, cycles, hp, w_star)
+    w_star = np.array([run.trace[f"w{i}"][-1] for i in range(run.system.n_edges)])
+    a = linearize(s, run.system, hp, w_star)
     lam = np.real(np.linalg.eigvals(a))
     neg = -lam[lam < -1e-10]
     if neg.size == 0:
@@ -548,7 +650,10 @@ def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec | None = 
 
     t_end = 6.0 / lam_min
     t = np.linspace(0.0, t_end, RELAXATION_SAMPLES)
-    x = 0.5 * np.exp(-np.outer(t, rates)).mean(axis=1)
+    # a block of rows at a time: each row reduces alone, so the blocks give
+    # the same numbers as one RELAXATION_SAMPLES x rates array, without it
+    x = np.concatenate([0.5 * np.exp(-np.outer(t[k:k + RELAXATION_BLOCK], rates)).mean(axis=1)
+                        for k in range(0, t.size, RELAXATION_BLOCK)])
     relax = Trace(t0=0.0, dt=t[1] - t[0], channels={"mean_w": x})
 
     t_lo, t_hi = GAMMA_WINDOW[0] / lam_max, GAMMA_WINDOW[1] / lam_min
@@ -732,12 +837,11 @@ def solve_maze(
     if spec is None:
         spec = IntegratorSpec(method="euler", dt=0.005, t_end=100.0)
     g, index = maze_to_circuit(m, hp, v_dc)
-    cycles = cycle_basis(g)
     s = source_vector(g, hp)
     run = simulate_network(g, s, hp, spec, w0=0.5)
-    n_e = cycles.shape[1]
+    n_e = run.system.n_edges
     w_final = np.array([run.trace[f"w{i}"][-1] for i in range(n_e)])
-    cur = edge_currents(w_final, s, cycles, hp)
+    cur = edge_currents(w_final, s, run.system, hp)
     mem_edges = g.memristive_edges
     inv = {v: k for k, v in index.items()}
     # (current leaving the node along edge k, k, the node at its other end)

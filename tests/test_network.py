@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.special import exp1
 
@@ -17,6 +17,7 @@ from memsim.network import (
     cycle_basis,
     cycle_projector,
     edge_currents,
+    kirchhoff_system,
     linearize,
     maze_to_circuit,
     mean_relaxation,
@@ -31,6 +32,11 @@ from memsim.network import (
 )
 
 HP = HpParams(alpha=0.0, beta=1.0, r_on=1.0, r_off=100.0)
+
+# 9 x 19, one shortest route: the size of the largest benchmark mazes
+LONG_MAZE = ("S..#...#.....#...#.\n.#.###.#.#.#.#.#.#.\n.#.......#.#.#.#...\n.#.#.#.###.#.#.###.\n"
+             ".#...#.....#.#...#.\n.#.#####.###.#.#.#.\n.#.#.........#.#.#.\n.#.###.###.#####.#.\n"
+             ".......#.........#E")
 
 
 def ring(n, emf_on_first=0.0):
@@ -145,7 +151,13 @@ class TestCycleBasis:
 @st.composite
 def sourced_graphs(draw):
     """Connected graphs: a random spanning tree (some of its edges pure
-    sources), then parallel edges, self-loops and chords with series EMFs."""
+    sources), then parallel edges, self-loops and chords with series EMFs.
+
+    Contracting the m memristive tree edges' sources leaves N - 1 = m node
+    potentials, and each chord adds one cycle, so drawing at most m chords
+    or more than m puts the graph on the mesh or the nodal side of
+    ``kirchhoff_system``'s choice; both are drawn.
+    """
     volts = st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False))
     n_nodes = draw(st.integers(1, 8))
     edges = []
@@ -154,9 +166,11 @@ def sourced_graphs(draw):
         tail, head = (u, v) if draw(st.booleans()) else (v, u)
         kind = draw(st.sampled_from(("memristor", "memristor", "source")))
         edges.append(Edge(tail, head, kind, draw(volts)))
+    m = sum(e.kind == "memristor" for e in edges)
+    n_chords = draw(st.one_of(st.integers(0, m), st.integers(m + 1, m + 12)))
     node = st.integers(0, n_nodes - 1)
     edges += [Edge(a, b, "memristor", v) for a, b, v in
-              draw(st.lists(st.tuples(node, node, volts), max_size=12))]
+              draw(st.lists(st.tuples(node, node, volts), min_size=n_chords, max_size=n_chords))]
     if not any(e.kind == "memristor" for e in edges):
         edges.append(Edge(0, 0, "memristor", draw(volts)))
     return CircuitGraph(n_nodes=n_nodes, edges=tuple(edges))
@@ -166,10 +180,15 @@ class TestMeshCurrents:
     @settings(max_examples=300, deadline=None)
     @given(g=sourced_graphs(), data=st.data())
     def test_mesh_form_equals_projector_form_and_obeys_kirchhoff(self, g, data):
+        # both forms of kirchhoff_system: nodal when N - 1 < C, mesh otherwise
         r_off = data.draw(st.floats(1.0, 200.0), label="r_off")
         hp = HpParams(alpha=0.0, beta=1.0, r_on=1.0, r_off=r_off)
         b = cycle_basis(g)
         n_e = b.shape[1]
+        system = kirchhoff_system(g)
+        n_potentials = reduce_sources(g)[0] - 1
+        assert system.form == ("nodal" if n_potentials < b.shape[0] else "mesh")
+        event(system.form)
         w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_e, max_size=n_e), label="w"))
         n_cols = data.draw(st.sampled_from((0, 1, 3)), label="columns of s")
         if n_cols == 0:
@@ -177,7 +196,7 @@ class TestMeshCurrents:
         else:
             s = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).normal(
                 size=(n_e, n_cols))
-        i_mesh = edge_currents(w, s, b, hp)
+        i_mesh = edge_currents(w, s, system, hp)
         i_proj = edge_currents(w, s, cycle_projector(g), hp)
         assert i_mesh.shape == i_proj.shape == s.shape
         # the currents are bounded by the source (|i| <= |S| in the 2-norm, as
@@ -192,14 +211,15 @@ class TestMeshCurrents:
 
     def test_tree_carries_no_current(self):
         g = CircuitGraph(n_nodes=3, edges=(Edge(0, 1, "memristor", 2.0), Edge(1, 2, "memristor", -1.0)))
-        b = cycle_basis(g)
-        assert np.array_equal(edge_currents(np.full(2, 0.5), source_vector(g, HP), b, HP), np.zeros(2))
-        assert np.array_equal(edge_currents(np.full(2, 0.5), np.ones((2, 3)), b, HP), np.zeros((2, 3)))
+        system = kirchhoff_system(g)
+        assert system.form == "mesh" and system.operator.shape == (0, 2)
+        assert np.array_equal(edge_currents(np.full(2, 0.5), source_vector(g, HP), system, HP), np.zeros(2))
+        assert np.array_equal(edge_currents(np.full(2, 0.5), np.ones((2, 3)), system, HP), np.zeros((2, 3)))
 
     def test_single_loop_is_ohms_law(self):
         g = ring(4, emf_on_first=3.0)
         w = np.array([0.1, 0.4, 0.7, 1.0])
-        i = edge_currents(w, source_vector(g, HP), cycle_basis(g), HP)
+        i = edge_currents(w, source_vector(g, HP), kirchhoff_system(g), HP)
         want = 3.0 / (HP.r_on * np.sum(1.0 + HP.xi * w))
         assert np.allclose(i, want, rtol=1e-14, atol=0.0)
 
@@ -207,8 +227,69 @@ class TestMeshCurrents:
         # chi = 3: the loop resistance 2 + chi (w0 + w1) is exactly zero at w = -1/3
         hp = HpParams(alpha=0.0, beta=1.0, r_on=1.0, r_off=4.0)
         g = ring(2, emf_on_first=1.0)
+        system = kirchhoff_system(g)
+        assert system.form == "mesh"
         with pytest.raises(SingularNetworkError):
-            edge_currents(np.full(2, -1.0 / 3.0), source_vector(g, hp), cycle_basis(g), hp)
+            edge_currents(np.full(2, -1.0 / 3.0), source_vector(g, hp), system, hp)
+
+    def test_singular_nodal_raises(self):
+        # three parallel edges: one node potential, two cycles.  Nodal form
+        # divides by each resistance 1 + chi w, so a zero, a negative or a
+        # non-finite one is refused, and so are non-finite currents
+        hp = HpParams(alpha=0.0, beta=1.0, r_on=1.0, r_off=4.0)
+        g = CircuitGraph(n_nodes=2, edges=(Edge(0, 1, "memristor", 1.0), Edge(0, 1), Edge(0, 1)))
+        system = kirchhoff_system(g)
+        assert system.form == "nodal"
+        s = source_vector(g, hp)
+        assert np.all(np.isfinite(edge_currents(np.full(3, 0.5), s, system, hp)))
+        for w0 in (-1.0 / 3.0, -0.5, np.nan):
+            w = np.array([0.5, w0, 0.5])
+            with pytest.raises(SingularNetworkError):
+                edge_currents(w, s, system, hp)
+            with pytest.raises(SingularNetworkError):
+                edge_currents(w, np.eye(3), system, hp)
+        with pytest.raises(SingularNetworkError):
+            edge_currents(np.full(3, 0.5), np.array([np.inf, 0.0, 0.0]), system, hp)
+
+    def test_projector_must_be_square(self):
+        # a cycle matrix is not taken for the projector
+        g = ring(3, emf_on_first=1.0)
+        with pytest.raises(ValueError, match="projector"):
+            edge_currents(np.full(3, 0.5), source_vector(g, HP), cycle_basis(g), HP)
+
+
+class TestKirchhoffSystem:
+    def test_scattered_matrix_equals_dense_product(self):
+        rng = np.random.default_rng(11)
+        forms = set()
+        for _ in range(40):
+            g = random_connected(rng, int(rng.integers(2, 20)), p=float(rng.uniform(0.1, 0.6)))
+            system = kirchhoff_system(g)
+            forms.add(system.form)
+            op = system.operator
+            want = cycle_basis(g) if system.form == "mesh" else contracted_incidence(g)[1:]
+            assert np.array_equal(op, want)
+            x = rng.uniform(0.5, 100.0, op.shape[1])
+            dense = (op * x[None, :]) @ op.T
+            assert np.allclose(system.matrix(x), dense, rtol=1e-14, atol=0.0)
+        assert forms == {"nodal", "mesh"}
+
+    def test_form_follows_the_smaller_system(self):
+        # the soc-n100 preset graph (seed 0): N - 1 = 99 potentials, C = 134 cycles
+        g = random_network(np.random.default_rng(0))
+        system = kirchhoff_system(g)
+        assert system.form == "nodal" and system.operator.shape == (99, 233)
+        # a benchmark-sized maze: a few cycles among ~100 cells
+        m = MazeSpec.from_text(LONG_MAZE)
+        g, _ = maze_to_circuit(m, HpParams(alpha=0.1, beta=1.0, r_on=1.0, r_off=100.0), 100.0)
+        system = kirchhoff_system(g)
+        assert system.form == "mesh"
+        assert system.operator.shape[0] < reduce_sources(g)[0] - 1
+
+    def test_disconnected_graph_raises(self):
+        g = CircuitGraph(n_nodes=4, edges=(Edge(0, 1), Edge(1, 0), Edge(2, 3), Edge(3, 2)))
+        with pytest.raises(DisconnectedGraphError):
+            kirchhoff_system(g)
 
 
 class TestSourceReduction:
@@ -353,6 +434,7 @@ class TestLinearize:
 
     def test_matches_central_differences(self):
         h = 1e-6
+        forms = set()
         for seed in range(24):
             rng = np.random.default_rng(seed)
             g = random_sourced(rng, int(rng.integers(5, 13)))
@@ -367,10 +449,13 @@ class TestLinearize:
                 dw = np.zeros(n_e)
                 dw[j] = h
                 fd[:, j] = (memnet_rhs(w + dw, s, omega, hp) - memnet_rhs(w - dw, s, omega, hp)) / (2 * h)
-            # the exact Jacobian through either operator of the cycle space
-            for cycles in (omega, cycle_basis(g)):
+            # the exact Jacobian through the projector and the Kirchhoff system
+            system = kirchhoff_system(g)
+            forms.add(system.form)
+            for cycles in (omega, system):
                 a = linearize(s, cycles, hp, w)
                 assert np.max(np.abs(a - fd)) <= 1e-6 * np.max(np.abs(a)), seed
+        assert forms == {"nodal", "mesh"}
 
     def test_null_space_at_alpha_zero(self):
         # J = (chi/beta) M^{-1} Omega diag(i) has rank at most rank(Omega) = C,
@@ -384,9 +469,13 @@ class TestLinearize:
             omega = cycle_projector(g)
             n_e = omega.shape[0]
             n_cycles = np.linalg.matrix_rank(omega)
-            a = linearize(source_vector(g, HP), omega, HP, rng.uniform(0.05, 0.95, n_e))
-            lam = np.abs(np.linalg.eigvals(a))
-            assert np.count_nonzero(lam <= 1e-11 * lam.max()) >= n_e - n_cycles, seed
+            w = rng.uniform(0.05, 0.95, n_e)
+            system = kirchhoff_system(g)
+            assert system.form == "nodal"
+            for cycles in (omega, system):
+                a = linearize(source_vector(g, HP), cycles, HP, w)
+                lam = np.abs(np.linalg.eigvals(a))
+                assert np.count_nonzero(lam <= 1e-11 * lam.max()) >= n_e - n_cycles, seed
 
     def test_singular_network_raises(self):
         # chi = 4, so M = 1 + chi w is exactly zero at w = -1/4

@@ -20,20 +20,32 @@ from memsim.circuits import McParams, PlantParams, hh_simulate, mc_analytic, mc_
 from memsim.core import DriveSignal, IntegratorSpec
 from memsim.devices import HhParams, HpParams, hp_volatile_analytic, simulate_hp_voltage_driven
 from memsim.learning import LinearReservoir, Reservoir, rc_run
-from memsim.network import (CircuitGraph, Edge, MazeSpec, cycle_basis, cycle_projector, linearize,
-                            simulate_network, solve_maze, source_vector)
+from memsim.network import (CircuitGraph, Edge, MazeSpec, cycle_projector, edge_currents, kirchhoff_system,
+                            linearize, simulate_network, solve_maze, source_vector)
 hp = HpParams(alpha=0.0, beta=3e-4, r_on=1000.0, r_off=6000.0)
 assert abs(mc_analytic(0.0, mc_calibrate(McParams(c=1e-3, hp=hp), 1e-4)) - 1e-4) < 1e-18
 g = CircuitGraph(n_nodes=2, edges=(Edge(0, 1), Edge(1, 0, "source", 1.0)))
 linearize(source_vector(g, hp), cycle_projector(g), hp, np.array([0.5]))
-# two loops sharing an edge, solved on the cycle basis (C = 2, E = 5)
+# two loops sharing an edge, solved in mesh form (C = 2 cycles, N - 1 = 3 potentials, E = 5)
 g = CircuitGraph(n_nodes=4, edges=(Edge(0, 1, "memristor", 1.0), Edge(1, 2), Edge(2, 0), Edge(1, 3),
                                    Edge(3, 2)))
 net_hp = HpParams(alpha=0.0, beta=1.0, r_on=1.0, r_off=10.0)
-assert cycle_basis(g).shape == (2, 5)
-assert np.all(np.isfinite(linearize(source_vector(g, net_hp), cycle_basis(g), net_hp, np.full(5, 0.5))))
+system = kirchhoff_system(g)
+assert system.form == "mesh" and system.operator.shape == (2, 5)
+assert np.all(np.isfinite(linearize(source_vector(g, net_hp), system, net_hp, np.full(5, 0.5))))
 run = simulate_network(g, None, net_hp, IntegratorSpec(method="euler", dt=0.01, t_end=1.0))
 assert np.all(np.isfinite(run.trace["mean_w"]))
+# the complete graph on five nodes, solved in nodal form (N - 1 = 4 potentials, C = 6 cycles)
+g = CircuitGraph(n_nodes=5, edges=tuple(Edge(a, b, "memristor", float(a == 0)) for a in range(5)
+                                        for b in range(a + 1, 5)))
+system = kirchhoff_system(g)
+assert system.form == "nodal" and system.operator.shape == (4, 10)
+s = source_vector(g, net_hp)
+i = edge_currents(np.full(10, 0.5), s, system, net_hp)
+assert np.max(np.abs(i - edge_currents(np.full(10, 0.5), s, cycle_projector(g), net_hp))) < 1e-14
+assert np.all(np.isfinite(linearize(s, system, net_hp, np.full(10, 0.5))))
+run = simulate_network(g, None, net_hp, IntegratorSpec(method="euler", dt=0.01, t_end=1.0))
+assert run.system.form == "nodal" and np.all(np.isfinite(run.trace["mean_w"]))
 maze = solve_maze(MazeSpec.from_text("S..\\n.#.\\n..E"), HpParams(alpha=0.1, beta=1.0, r_on=1.0, r_off=100.0),
                   100.0, IntegratorSpec(method="euler", dt=0.005, t_end=5.0))
 assert np.all(np.isfinite(maze.currents))

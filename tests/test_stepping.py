@@ -12,7 +12,7 @@ import pytest
 from memsim.core import IntegratorSpec, integrate
 from memsim.devices import HpParams
 from memsim.learning import LcaProblem, hard_threshold, lca_simulate
-from memsim.network import CircuitGraph, Edge, cycle_basis, memnet_rhs, simulate_network, source_vector
+from memsim.network import CircuitGraph, Edge, kirchhoff_system, memnet_rhs, simulate_network, source_vector
 
 
 def reference_run(rhs, y0, spec, clip, done):
@@ -98,14 +98,14 @@ def relaxing_network():
 
 
 def network_reference(g, hp, spec, tol):
-    cycles = cycle_basis(g)
+    system = kirchhoff_system(g)
     s = source_vector(g, hp)
 
     def done(w, dw):
         free = np.where(((w >= 1.0) & (dw > 0)) | ((w <= 0.0) & (dw < 0)), 0.0, dw)
         return np.max(np.abs(free)) < tol
 
-    return reference_run(lambda w, t: memnet_rhs(w, s, cycles, hp), np.full(len(s), 0.5),
+    return reference_run(lambda w, t: memnet_rhs(w, s, system, hp), np.full(len(s), 0.5),
                          spec, clip=True, done=done)
 
 
