@@ -301,7 +301,7 @@ def run_network_soc(params, rng):
     hp = _hp(params)
     g = random_network(rng, n_nodes=int(params["n_nodes"]), edge_prob=params["edge_prob"],
                        n_sources=int(params["n_sources"]), source_volts=params["source_volts"])
-    spec = IntegratorSpec(method="euler", dt=params["dt"], t_end=params["t_end"])
+    spec = IntegratorSpec(method="bs3", dt=params["dt"], t_end=params["t_end"])
     res = soc_experiment(g, hp, spec)
     metrics = {
         "gamma": res.gamma,
@@ -314,6 +314,8 @@ def run_network_soc(params, rng):
         "n_unstable": res.n_unstable,
         "stop_reason": res.stop_reason,
         "clamped_fraction": res.clamped_fraction,
+        "steps": res.steps,
+        "rhs_calls": res.rhs_calls,
     }
     return metrics, {"relaxation": res.relaxation}, None
 
@@ -321,7 +323,7 @@ def run_network_soc(params, rng):
 def run_maze(params, rng):
     hp = _hp(params)
     maze = MazeSpec.from_text(params["maze"])
-    spec = IntegratorSpec(method="euler", dt=params["dt"], t_end=params["t_end"])
+    spec = IntegratorSpec(method="bs3", dt=params["dt"], t_end=params["t_end"])
     result = solve_maze(maze, hp, params["v_dc"], spec)
     # the path is an entrance->exit walk; it is one shortest route iff it has
     # the route length and every edge in it lies on some shortest route (the
@@ -333,6 +335,8 @@ def run_maze(params, rng):
         "contrast": result.contrast,
         "path_edges": len(result.path),
         "bfs_edges": bfs_edges,
+        "steps": result.run.steps,
+        "rhs_calls": result.run.rhs_calls,
     }
     text = "\n".join(f"{a} -> {b}" for a, b in result.path) + "\n"
     return metrics, {"maze_w": result.run.trace}, {"path.txt": text}
@@ -524,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0, help="RNG seed")
         fields = PRESETS[name][default_preset(name)]
         if "dt" in fields:
-            sp.add_argument("--dt", type=float, default=None, help="override integrator dt")
+            sp.add_argument("--dt", type=float, default=None,
+                            help="override dt (the fixed step; the row spacing of network runs)")
         if "t_end" in fields:
             sp.add_argument("--t-end", type=float, default=None, help="override run length")
         if name == "crossbar-train":

@@ -1,18 +1,20 @@
-"""Deterministic fixed-step ODE integration, drive waveforms, and trace analysis.
+"""Deterministic ODE integration, drive waveforms, and trace analysis.
 
 Everything here is pure: the same inputs always produce bit-identical outputs.
-``integrate`` is the package's one stepping loop.  State clamping (where a
-model needs it) is supplied by the caller through the ``poststep`` hook; the
-integrator itself never touches the state.  Runs that end early (a network
-reaching steady state, the LCA reaching its fixed point) pass a ``stop`` hook,
-which sees the state and its derivative after every step; that derivative is
-reused as the next step's first stage, so the check costs no extra RHS
-evaluation.  ``linear_response`` solves the scalar linear ODE with a
-prescribed forcing, ``dy/dt = -rate(t)*y + g(t)`` from any ``y0``, by
-exponential quadrature of ``g`` on the trace grid (the rate a constant or a
-function of time, the solution optionally held in an interval after each
-step); the devices, circuits and gates whose state obeys such an equation
-on a known drive use it in place of ``integrate``.
+``integrate`` is the package's one stepping loop: fixed-step Euler or RK4,
+or the error-controlled Bogacki-Shampine 3(2) pair, which emits its rows on
+the same uniform grid.  State clamping (where a model needs it) is supplied
+by the caller through the ``poststep`` hook; the integrator itself never
+touches the state.  Runs that end early (a network reaching steady state,
+the LCA reaching its fixed point) pass a ``stop`` hook, which sees the state
+and its derivative after every step; that derivative is reused as the next
+step's first stage, so the check costs no extra RHS evaluation.
+``linear_response`` solves the scalar linear ODE with a prescribed forcing,
+``dy/dt = -rate(t)*y + g(t)`` from any ``y0``, by exponential quadrature of
+``g`` on the trace grid (the rate a constant or a function of time, the
+solution optionally held in an interval after each step); the devices,
+circuits and gates whose state obeys such an equation on a known drive use
+it in place of ``integrate``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ __all__ = [
 ]
 
 _SIGNAL_KINDS = ("dc", "sine", "square", "pulse_train")
-_METHODS = ("euler", "rk4")
+_METHODS = ("euler", "rk4", "bs3")
+# error tolerances of the "bs3" pair, on every component the clamp leaves free
+BS3_RTOL = 1e-7
+BS3_ATOL = 1e-7
 
 
 class SimulationError(RuntimeError):
@@ -187,29 +192,54 @@ def integrate(
     poststep: Callable[[np.ndarray], np.ndarray] | None = None,
     stop: Callable[[np.ndarray, np.ndarray], bool] | None = None,
 ) -> Trace:
-    """Integrate ``dy/dt = rhs(y, t)`` with a fixed step.
+    """Integrate ``dy/dt = rhs(y, t)``; one trace row every ``spec.dt``.
+
+    ``euler`` and ``rk4`` take fixed steps of ``spec.dt``, one per row.
+    ``bs3`` is the Bogacki-Shampine 3(2) pair with error control: its steps
+    start at ``spec.dt`` and then follow the error, which is the RMS, over
+    the components ``poststep`` left unmoved at the step's end, of the
+    difference of the two orders scaled by ``BS3_ATOL + BS3_RTOL * |y|``
+    (a clamped component ends exactly at its bound, where the difference
+    says nothing).  A step is accepted when that error is at most 1, and the
+    next step is 0.9 err^(-1/3) times this one, clipped to [0.2, 10].  The
+    rows on the grid ``k * spec.dt`` are the pair's cubic Hermite
+    interpolant between the steps around them (for a component the clamp
+    stopped inside the step, the quadratic through its start, its rate there
+    and its unclamped end, cut by ``poststep``), and the last step lands on
+    the last grid point, so the trace is uniform either way, with
+    ``n_steps + 1`` rows unless the run stops early; ``spec.dt`` is then the
+    output spacing only.
 
     Parameters
     ----------
     rhs : callable(state, t) -> derivative
     state0 : initial state vector (finite)
-    spec : IntegratorSpec (euler or rk4)
+    spec : IntegratorSpec (euler, rk4 or bs3)
     names : channel names, default ``y0, y1, ...``
-    poststep : optional state transform applied after every step
-        (device models use this for hard clamping; the integrator itself
-        never clamps).
+    poststep : optional state transform applied after every step (device
+        models use this for hard clamping; the integrator itself never
+        clamps).  Under bs3 it is also applied to every stage state and to
+        the interpolated rows, passed as a stack (rows x state), so it must
+        act row by row; no state the RHS sees or the trace holds then
+        leaves the clamp.
     stop : optional early-stop hook ``stop(state, derivative) -> bool``,
-        called after every step (after ``poststep``) with the new state and
-        ``rhs(state, t)`` there.  The run ends after the first step for
-        which it returns True, and the trace ends with that step.  The
-        derivative it is shown becomes the next step's first stage, so a
-        run with a hook costs one RHS evaluation per Euler step (four per
-        RK4 step) plus one for the first step.
+        called after every accepted step (after ``poststep``) with the new
+        state and ``rhs(state, t)`` there.  Once it returns True the run
+        ends at the next grid point: at once under euler and rk4, whose
+        steps are the grid; under bs3 after the steps that land on that
+        point (the hook still sees them, and what it returns there is
+        ignored), so the last row is a stepped state, not an interpolated
+        one.  The derivative it is shown becomes the next step's first
+        stage, so a run with a hook costs one RHS evaluation per Euler step
+        (four per RK4 step, three per attempted bs3 step, which reuses it
+        with or without a hook) plus one for the first step.
 
     Raises
     ------
     IntegrationDivergedError
         if the state becomes non-finite; the error names the failure time.
+    SimulationError
+        if the bs3 step size underflows.
     """
     y = np.asarray(state0, dtype=float).copy()
     if y.ndim != 1:
@@ -220,6 +250,9 @@ def integrate(
         names = [f"y{i}" for i in range(y.size)]
     if len(names) != y.size:
         raise ValueError("number of names must match the state dimension")
+    if spec.method == "bs3":
+        out = _bs3_rows(rhs, y, spec, poststep, stop)
+        return Trace(t0=0.0, dt=spec.dt, channels={nm: out[:, i] for i, nm in enumerate(names)})
     dt = spec.dt
     # one row per step taken: a run that stops early never allocates the rest
     rows = [y]
@@ -246,6 +279,69 @@ def integrate(
                 break
     out = np.array(rows)
     return Trace(t0=0.0, dt=dt, channels={nm: out[:, i] for i, nm in enumerate(names)})
+
+
+def _bs3_rows(rhs, y, spec: IntegratorSpec, poststep, stop) -> np.ndarray:
+    """The rows of ``integrate`` under bs3, one per grid point reached (see there)."""
+    clamp = (lambda v: v) if poststep is None else (lambda v: np.asarray(poststep(v), dtype=float))
+    dt = spec.dt
+    rows = [y]
+    k = 1  # index of the next grid row
+    t_last = spec.n_steps * dt  # the run ends here, or at the grid point after a stop
+    t, h = 0.0, dt
+    f = np.asarray(rhs(y, t), dtype=float)
+    stopped = False
+    while t < t_last:
+        lands = h >= t_last - t
+        if lands:
+            h = t_last - t
+        t_new = t_last if lands else t + h
+        k2 = np.asarray(rhs(clamp(y + (0.5 * h) * f), t + 0.5 * h), dtype=float)
+        k3 = np.asarray(rhs(clamp(y + (0.75 * h) * k2), t + 0.75 * h), dtype=float)
+        raw = y + h * ((2.0 / 9.0) * f + (1.0 / 3.0) * k2 + (4.0 / 9.0) * k3)
+        y_new = clamp(raw)
+        if not np.all(np.isfinite(y_new)):
+            raise IntegrationDivergedError(t_new)
+        f_new = np.asarray(rhs(y_new, t_new), dtype=float)
+        free = y_new == raw
+        e = h * ((-5.0 / 72.0) * f + (1.0 / 12.0) * k2 + (1.0 / 9.0) * k3 - 0.125 * f_new)
+        scale = BS3_ATOL + BS3_RTOL * np.maximum(np.abs(y), np.abs(y_new))
+        ratio = (e / scale)[free]
+        err = math.sqrt(np.mean(ratio * ratio)) if ratio.size else 0.0
+        grow = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** (-1.0 / 3.0)))
+        if not err <= 1.0:  # also rejects a NaN error
+            h *= grow if math.isfinite(err) else 0.2
+            if t + h == t:
+                raise SimulationError(f"bs3 step size underflow at t={t:.6g}")
+            continue
+        # rows on the grid in (t, t_new]: the cubic Hermite interpolant of the
+        # step, written as y + theta dy + ... so that a component with zero
+        # change and zero rates reads exactly y; the step's end is y_new itself
+        last = k
+        while last <= spec.n_steps and last * dt < t_new:
+            last += 1
+        theta = ((np.arange(k, last) * dt - t) / h)[:, None]
+        dy = y_new - y
+        mid = y + theta * dy + theta * (theta - 1.0) * (
+            (1.0 - 2.0 * theta) * dy + (theta - 1.0) * h * f + theta * h * f_new)
+        if not free.all():
+            # a component the clamp stopped inside the step: the quadratic
+            # from (y, f) to the unclamped end, which poststep then cuts at
+            # the bound where it crosses it
+            moved = ~free
+            mid[:, moved] = y[moved] + theta * (h * f[moved] + theta * (raw[moved] - y[moved] - h * f[moved]))
+        rows.extend(clamp(mid))
+        if last <= spec.n_steps and last * dt == t_new:
+            rows.append(y_new)
+            last += 1
+        k = last
+        t, y, f = t_new, y_new, f_new
+        if stop is not None and stop(y, f) and not stopped:
+            # end at the next grid point, which is this one if the step landed on it
+            stopped = True
+            t_last = t if t == (k - 1) * dt else k * dt
+        h *= grow
+    return np.array(rows)
 
 
 # samples per block of the scalar recurrence in ``linear_response``

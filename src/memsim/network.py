@@ -38,6 +38,11 @@ mazes) together with the index triples that assemble K or L by one
 ``edge_currents``.  The projector form is kept as the reference the tests and
 independent checks compare against.
 
+``simulate_network`` steps the clamp-aware rate (zero for a memory that a
+bound holds) with any ``integrate`` method.  The soc relaxation and the maze
+take the error-controlled Bogacki-Shampine pair ("bs3"), whose steps follow
+the slow DC relaxation; their ``dt`` is the spacing of the trace rows only.
+
 Voltage sources come in two forms: a series EMF on a memristive edge (the
 ``value`` field), or a pure source edge.  Pure source edges are eliminated
 losslessly before analysis by source shifting: the constraint phi_head =
@@ -343,6 +348,8 @@ class KirchhoffSystem:
 
     def currents(self, w: np.ndarray, s: np.ndarray, chi: float) -> np.ndarray:
         """Edge currents at memories ``w`` for sources ``s`` (E or E x k); see ``edge_currents``."""
+        if not np.isfinite(s).all():
+            raise SingularNetworkError("network current system is singular: a source is not finite")
         r = 1.0 + chi * w
         op = self.operator
         if self.form == "mesh":
@@ -412,8 +419,9 @@ def edge_currents(w: np.ndarray, s: np.ndarray, system, hp: HpParams) -> np.ndar
 
     ``s`` may also be an E x k matrix: column k of the result is then driven
     by column k of ``s``.  Raises SingularNetworkError when the system is
-    singular; in nodal form also when a resistance 1 + chi w is not positive
-    or the currents are not finite.
+    singular; for a ``KirchhoffSystem`` also when a source is not finite (before
+    any arithmetic on it), and in nodal form when a resistance 1 + chi w is
+    not positive or the currents are not finite.
     """
     w = np.asarray(w, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -444,6 +452,11 @@ class NetworkRun:
     steady: bool
     stop_reason: str  # "steady" | "t_end"
     system: KirchhoffSystem  # the current solver the run stepped with
+    steps: int  # steps accepted
+    rhs_calls: int  # evaluations of the network equation, one current solve each
+
+
+MEAN_BLOCK = 1024  # rows of the memory trace simulate_network averages at once
 
 
 def simulate_network(
@@ -458,11 +471,17 @@ def simulate_network(
 
     ``s`` is the constant source vector over memristive edges (units V/r_on),
     or None to derive it from the graph's EMFs; every memory starts at
-    ``w0``.  Stops early once the clamp-aware rate norm falls below
-    ``steady_tol``.  The trace carries w0..w{E-1} plus the instantaneous mean
-    channel.  Every step solves the currents with ``kirchhoff_system(g)``,
-    built once here and returned as ``NetworkRun.system`` for the caller's
-    own solves.
+    ``w0``.  The rate ``integrate`` steps is clamp-aware (``clamped_rate``):
+    a memory at a bound that the network pushes outward has rate zero, so
+    it stays exactly at the bound, in the rows bs3 interpolates too.  Under
+    ``spec.method == "bs3"`` (what ``soc_experiment`` and ``solve_maze``
+    use) the steps follow the error and ``spec.dt`` is the row spacing.
+    Stops once the rate norm falls below ``steady_tol``, at the next row.
+    The trace carries w0..w{E-1} plus the instantaneous mean channel.  Every
+    rate evaluation solves the currents with ``kirchhoff_system(g)``, built
+    once here and returned as ``NetworkRun.system`` for the caller's own
+    solves; ``NetworkRun.steps`` and ``rhs_calls`` count the accepted steps
+    and the rate evaluations.
     """
     system = kirchhoff_system(g)
     n_e = system.n_edges
@@ -470,27 +489,31 @@ def simulate_network(
     if s.shape != (n_e,):
         raise ValueError(f"source vector must have shape ({n_e},), got {s.shape}")
     w = np.full(n_e, w0, dtype=float)
-
-    # the mean channel is filled row by row as the run goes, so that the
-    # memory trace is never copied
-    mean_w = np.empty(spec.n_steps + 1)
-    mean_w[0] = w.mean()
-    taken = 0
+    steps = rhs_calls = 0
     steady = False
 
+    def rate(w, t):
+        nonlocal rhs_calls
+        rhs_calls += 1
+        return clamped_rate(w, memnet_rhs(w, s, system, hp), 0.0, 1.0)
+
     def reached_steady(w, dw):
-        nonlocal taken, steady
-        taken += 1
-        mean_w[taken] = w.mean()
-        steady = bool(np.max(np.abs(clamped_rate(w, dw, 0.0, 1.0))) < steady_tol)
+        # bs3 shows the hook the steps after it fired too, up to the next row
+        nonlocal steps, steady
+        steps += 1
+        steady = steady or bool(np.max(np.abs(dw)) < steady_tol)
         return steady
 
-    tr = integrate(lambda w, t: memnet_rhs(w, s, system, hp), w, spec,
-                   names=[f"w{i}" for i in range(n_e)], poststep=clamp01, stop=reached_steady)
+    tr = integrate(rate, w, spec, names=[f"w{i}" for i in range(n_e)], poststep=clamp01, stop=reached_steady)
+    # the mean of each row, a block of rows at a time, so that the memory
+    # trace is never copied whole
+    cols = list(tr.channels.values())
     channels = dict(tr.channels)
-    channels["mean_w"] = mean_w[: taken + 1]
+    channels["mean_w"] = np.concatenate([np.column_stack([c[k:k + MEAN_BLOCK] for c in cols]).mean(axis=1)
+                                         for k in range(0, tr.n_samples, MEAN_BLOCK)])
     trace = Trace(t0=0.0, dt=spec.dt, channels=channels)
-    return NetworkRun(trace=trace, steady=steady, stop_reason="steady" if steady else "t_end", system=system)
+    return NetworkRun(trace=trace, steady=steady, stop_reason="steady" if steady else "t_end",
+                      system=system, steps=steps, rhs_calls=rhs_calls)
 
 
 def linearize(s, system, hp: HpParams, w_star) -> np.ndarray:
@@ -564,6 +587,8 @@ class SocResult:
     n_unstable: int  # Jacobian eigenvalues with real part > 1e-10
     stop_reason: str  # why the relaxation ended: "steady" | "t_end"
     clamped_fraction: float  # share of edges at w = 0 or w = 1 where it was linearized
+    steps: int  # steps the relaxation accepted
+    rhs_calls: int  # evaluations of the network equation during the relaxation
 
 
 MAX_GRAPH_DRAWS = 200  # random_network gives up after this many disconnected draws
@@ -633,9 +658,13 @@ def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec | None = 
     (falling back to the corner window when the rate spread leaves no
     scaling regime, e.g. a single device): fits with R^2 < 0.9 report
     ``power_law=False``.
+
+    The relaxation is ``simulate_network`` under ``spec``, by default bs3
+    with rows every 0.05 up to t = 200; the linearization point is its last
+    row, a stepped state.  ``steps`` and ``rhs_calls`` report its work.
     """
     if spec is None:
-        spec = IntegratorSpec(method="euler", dt=0.05, t_end=200.0)
+        spec = IntegratorSpec(method="bs3", dt=0.05, t_end=200.0)
     s = source_vector(g, hp)
     run = simulate_network(g, s, hp, spec, w0=0.5)
     w_star = np.array([run.trace[f"w{i}"][-1] for i in range(run.system.n_edges)])
@@ -679,6 +708,8 @@ def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec | None = 
         n_unstable=int(np.count_nonzero(lam > 1e-10)),
         stop_reason=run.stop_reason,
         clamped_fraction=float(np.mean((w_star <= 0.0) | (w_star >= 1.0))),
+        steps=run.steps,
+        rhs_calls=run.rhs_calls,
     )
 
 
@@ -832,10 +863,13 @@ def solve_maze(
     Contrast is min(on-path |current|) / max(off-path |current|) (infinite
     when nothing flows off the path).  Raises AmbiguousPathError when a cell
     has no forward current (v_dc <= 0 drives none) or the walk takes more
-    steps than there are edges.
+    steps than there are edges.  The relaxation is ``simulate_network`` under
+    ``spec``, by default bs3 with rows every 0.1 up to t = 100, ending at the
+    row after the steady stop; the currents are solved at that last row, a
+    stepped state.
     """
     if spec is None:
-        spec = IntegratorSpec(method="euler", dt=0.005, t_end=100.0)
+        spec = IntegratorSpec(method="bs3", dt=0.1, t_end=100.0)
     g, index = maze_to_circuit(m, hp, v_dc)
     s = source_vector(g, hp)
     run = simulate_network(g, s, hp, spec, w0=0.5)

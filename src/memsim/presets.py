@@ -104,6 +104,8 @@ HH = {
     "t_end": 0.5,
 }
 
+# The network relaxations (soc and maze) are stepped by the error-controlled
+# bs3 pair; their dt is the spacing of the trace rows only.
 NETWORK_SOC = {
     "n_nodes": 100,
     "edge_prob": 0.045,
@@ -124,7 +126,7 @@ MAZE = {
     "r_on": 1.0,
     "r_off": 100.0,
     "v_dc": 100.0,
-    "dt": 0.005,
+    "dt": 0.1,
     "t_end": 100.0,
 }
 

@@ -121,6 +121,22 @@ class TestMazeCommand:
         assert metrics["path_matches_bfs"] == "True"
         assert float(metrics["contrast"]) > 1.0 or metrics["contrast"] == "inf"
 
+    def test_run_record_is_deterministic(self, tmp_path):
+        # bs3 at the preset: rows every dt = 0.1 until the steady stop, and
+        # the steps and rate evaluations behind them in metrics.txt
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["maze", "--out", str(out)]) == 0
+        for name in ("metrics.txt", "maze_w.csv", "path.txt"):
+            assert read(a / "maze" / name) == read(b / "maze" / name), name
+        metrics = dict(line.split("=", 1) for line in (a / "maze" / "metrics.txt").read_text().splitlines())
+        steps, rhs_calls = int(metrics["steps"]), int(metrics["rhs_calls"])
+        assert 0 < 3 * steps + 1 <= rhs_calls and (rhs_calls - 1) % 3 == 0
+        rows = (a / "maze" / "maze_w.csv").read_text().splitlines()[1:]
+        times = [float(row.split(",")[0]) for row in rows]
+        assert np.allclose(np.diff(times), 0.1)
+        assert len(rows) - 1 < 1000  # stopped before t_end
+
     def test_maze_file_flag(self, tmp_path):
         mz = tmp_path / "m.txt"
         mz.write_text("S...\n###.\n...E\n")

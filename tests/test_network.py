@@ -232,6 +232,7 @@ class TestMeshCurrents:
         with pytest.raises(SingularNetworkError):
             edge_currents(np.full(2, -1.0 / 3.0), source_vector(g, hp), system, hp)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_singular_nodal_raises(self):
         # three parallel edges: one node potential, two cycles.  Nodal form
         # divides by each resistance 1 + chi w, so a zero, a negative or a
@@ -367,6 +368,11 @@ class TestMemnetReduction:
 
 
 class TestSimulateNetwork:
+    method = None  # None: each test's own fixed-step method
+
+    def spec(self, method, dt, t_end):
+        return IntegratorSpec(method=self.method or method, dt=dt, t_end=t_end)
+
     def test_clamp_invariant(self):
         rng = np.random.default_rng(5)
         g = random_connected(rng, 12, p=0.3)
@@ -374,7 +380,7 @@ class TestSimulateNetwork:
         edges[0] = Edge(edges[0].tail, edges[0].head, "memristor", 5.0)
         g = CircuitGraph(n_nodes=g.n_nodes, edges=tuple(edges))
         hp = HpParams(alpha=0.3, beta=0.1, r_on=1.0, r_off=50.0)
-        run = simulate_network(g, None, hp, IntegratorSpec(method="euler", dt=0.01, t_end=20.0))
+        run = simulate_network(g, None, hp, self.spec("euler", 0.01, 20.0))
         for name in run.trace.names:
             assert run.trace[name].min() >= 0.0
             assert run.trace[name].max() <= 1.0
@@ -386,20 +392,28 @@ class TestSimulateNetwork:
         edges[0] = Edge(edges[0].tail, edges[0].head, "memristor", 20.0)
         g = CircuitGraph(n_nodes=g.n_nodes, edges=tuple(edges))
         hp = HpParams(alpha=0.0, beta=1.0, r_on=1.0, r_off=10.0)
-        run = simulate_network(g, None, hp, IntegratorSpec(method="euler", dt=0.02, t_end=400.0))
+        run = simulate_network(g, None, hp, self.spec("euler", 0.02, 400.0))
         assert run.steady
         assert run.stop_reason == "steady"
+        assert 0 < run.steps < run.rhs_calls
 
     def test_zero_drive_volatility_growth(self):
+        # w0 e^{alpha t} up to the clamp: within 1e-8 for rk4 at dt 1e-3 and
+        # 5e-6 for bs3 at its tolerances (1.6e-6 seen, also in the rows of the
+        # step that crosses the bound)
         hp = HpParams(alpha=0.5, beta=1.0, r_on=1.0, r_off=100.0)
         g = ring(3)
-        spec = IntegratorSpec(method="rk4", dt=1e-3, t_end=6.0)
+        spec = self.spec("rk4", 1e-3, 6.0)
         run = simulate_network(g, np.zeros(3), hp, spec, w0=0.1)
         t = run.trace.times
         grow = 0.1 * np.exp(hp.alpha * t)
         pre_clamp = grow < 1.0
-        assert np.allclose(run.trace["w0"][pre_clamp], grow[pre_clamp], rtol=1e-8)
+        rtol = {"rk4": 1e-8, "bs3": 5e-6}[spec.method]
+        assert np.allclose(run.trace["w0"][pre_clamp], grow[pre_clamp], rtol=rtol)
         assert run.trace["w0"][-1] == 1.0
+        # 6001 rows, so the mean channel is averaged over several blocks
+        w = np.column_stack([run.trace[f"w{i}"] for i in range(3)])
+        assert np.array_equal(run.trace["mean_w"], w.mean(axis=1))
 
     def test_symmetric_graph_symmetric_orbits(self):
         # two parallel memristive branches across the same source edge
@@ -407,8 +421,36 @@ class TestSimulateNetwork:
             n_nodes=2,
             edges=(Edge(0, 1), Edge(0, 1), Edge(1, 0, "source", 1.5)),
         )
-        run = simulate_network(g, None, HP, IntegratorSpec(method="rk4", dt=1e-3, t_end=1.0))
+        run = simulate_network(g, None, HP, self.spec("rk4", 1e-3, 1.0))
         assert np.max(np.abs(run.trace["w0"] - run.trace["w1"])) < 1e-12
+
+
+class TestSimulateNetworkBs3(TestSimulateNetwork):
+    method = "bs3"
+
+
+def test_bs3_matches_dop853_on_unclamped_networks():
+    # volatile growth against a drive that keeps every memory inside (0, 1):
+    # no clamp acts, so the rows must follow the exact flow.  Seen: at most
+    # 2.5e-7 from DOP853 at rtol = atol = 1e-12; the bound is 2e-6.
+    from scipy.integrate import solve_ivp
+
+    hp = HpParams(alpha=0.05, beta=5.0, r_on=1.0, r_off=50.0)
+    spec = IntegratorSpec(method="bs3", dt=0.1, t_end=10.0)
+    forms = set()
+    for seed, n_nodes in ((0, 8), (1, 8), (0, 14), (1, 14)):
+        g = random_sourced(np.random.default_rng(seed), n_nodes)
+        run = simulate_network(g, None, hp, spec)
+        system = kirchhoff_system(g)
+        forms.add(system.form)
+        s = source_vector(g, hp)
+        w = np.array([run.trace[f"w{i}"] for i in range(system.n_edges)])
+        assert w.shape[1] == spec.n_steps + 1
+        ref = solve_ivp(lambda t, y: memnet_rhs(y, s, system, hp), (0.0, spec.t_end), w[:, 0],
+                        method="DOP853", t_eval=run.trace.times, rtol=1e-12, atol=1e-12).y
+        assert 0.0 < ref.min() and ref.max() < 1.0
+        assert np.max(np.abs(w - ref)) < 2e-6
+    assert forms == {"mesh", "nodal"}
 
 
 class TestLinearize:
@@ -569,6 +611,7 @@ class TestSocExperiment:
         w_star = np.array([run.trace[name][-1] for name in run.trace.names if name != "mean_w"])
         res = soc_experiment(g, HP, spec)
         assert res.stop_reason == run.stop_reason
+        assert (res.steps, res.rhs_calls) == (run.steps, run.rhs_calls) == (800, 801)
         assert res.steady == (res.stop_reason == "steady")
         want = np.count_nonzero((w_star == 0.0) | (w_star == 1.0)) / w_star.size
         assert res.clamped_fraction == want

@@ -7,6 +7,7 @@ from memsim.core import (
     DriveSignal,
     IntegrationDivergedError,
     IntegratorSpec,
+    SimulationError,
     Trace,
     eval_signal,
     integrate,
@@ -113,6 +114,102 @@ class TestIntegrate:
             integrate(lambda y, t: -y, [np.inf], spec)
         with pytest.raises(ValueError):
             IntegratorSpec(method="rk45", dt=0.1, t_end=1.0)
+
+
+class TestBs3:
+    """The error-controlled pair against closed forms, on its uniform output grid.
+
+    The bounds are about five times the errors seen at the module tolerances
+    (rtol = atol = 1e-7): 1.7e-7 on the decay, 8.9e-7 on the damped rotation
+    and 2.0e-7 on the quadrature.
+    """
+
+    @staticmethod
+    def counted(rhs):
+        calls = []
+
+        def wrapped(y, t):
+            calls.append(t)
+            return rhs(y, t)
+
+        return wrapped, calls
+
+    def test_exponential_decay(self):
+        spec = IntegratorSpec(method="bs3", dt=0.1, t_end=5.0)
+        rhs, calls = self.counted(lambda y, t: -y)
+        tr = integrate(rhs, [1.0], spec)
+        assert tr.n_samples == spec.n_steps + 1
+        assert tr.dt == spec.dt
+        assert np.max(np.abs(tr["y0"] - np.exp(-tr.times))) < 1e-6
+        # first-same-as-last: three new evaluations per attempted step
+        assert (len(calls) - 1) % 3 == 0
+
+    def test_damped_rotation(self):
+        a = np.array([[-0.5, 2.0], [-2.0, -0.5]])
+        spec = IntegratorSpec(method="bs3", dt=0.05, t_end=10.0)
+        tr = integrate(lambda y, t: a @ y, [1.0, 0.0], spec)
+        assert tr.n_samples == spec.n_steps + 1
+        t = tr.times
+        decay = np.exp(-0.5 * t)
+        assert np.max(np.abs(tr["y0"] - decay * np.cos(2.0 * t))) < 5e-6
+        assert np.max(np.abs(tr["y1"] + decay * np.sin(2.0 * t))) < 5e-6
+
+    def test_time_dependent_rhs(self):
+        spec = IntegratorSpec(method="bs3", dt=0.1, t_end=20.0)
+        tr = integrate(lambda y, t: np.array([np.cos(t)]), [0.0], spec)
+        assert np.max(np.abs(tr["y0"] - np.sin(tr.times))) < 1e-6
+
+    def test_last_row_lands_on_t_end(self):
+        # steps grow tenfold on an exact solution, so the last one is cut to land
+        spec = IntegratorSpec(method="bs3", dt=0.3, t_end=30.0)
+        tr = integrate(lambda y, t: np.ones_like(y), [0.0], spec)
+        assert tr.n_samples == 101
+        assert np.allclose(tr["y0"], tr.times, rtol=0.0, atol=1e-12)
+
+    def test_poststep_on_stages_and_rows(self):
+        seen = []
+
+        def rhs(y, t):
+            seen.append(y[0])
+            return np.ones_like(y)
+
+        spec = IntegratorSpec(method="bs3", dt=0.1, t_end=3.0)
+        tr = integrate(rhs, [0.0], spec, poststep=lambda y: np.minimum(y, 0.5))
+        assert max(seen) == tr["y0"].max() == 0.5
+        assert tr["y0"][-1] == 0.5
+
+    def test_clamped_components_leave_the_error_norm(self):
+        # a second component that the clamp pins at 0 while its rate swings
+        # hard: the pair takes exactly the steps of the free one alone
+        alone, calls_alone = self.counted(lambda y, t: -y)
+        pinned, calls_pinned = self.counted(lambda y, t: np.array([-y[0], 1e3 * np.sin(50.0 * t)]))
+        spec = IntegratorSpec(method="bs3", dt=0.1, t_end=5.0)
+        a = integrate(alone, [1.0], spec)
+        b = integrate(pinned, [1.0, 0.0], spec, poststep=lambda y: y * [1.0, 0.0])
+        assert calls_alone == calls_pinned
+        assert np.array_equal(a["y0"], b["y0"])
+        assert np.all(b["y1"] == 0.0)
+
+    def test_deterministic_bit_identical(self):
+        spec = IntegratorSpec(method="bs3", dt=0.01, t_end=2.0)
+        rhs = lambda y, t: np.array([np.sin(t) - 0.3 * y[0]])
+        assert np.array_equal(integrate(rhs, [0.2], spec)["y0"], integrate(rhs, [0.2], spec)["y0"])
+
+    def test_step_size_underflow_raises(self):
+        # y' = 1/(1 - t) has no finite value at t = 1, so no step reaches it
+        def rhs(y, t):
+            with np.errstate(divide="ignore"):
+                return np.array([np.float64(1.0) / (1.0 - t)])
+
+        with pytest.raises(SimulationError, match="underflow"):
+            integrate(rhs, [0.0], IntegratorSpec(method="bs3", dt=0.25, t_end=1.0))
+
+    def test_divergence_names_time(self):
+        spec = IntegratorSpec(method="bs3", dt=0.5, t_end=100.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationDivergedError) as exc:
+                integrate(lambda y, t: y**2, [10.0], spec, poststep=lambda y: np.where(y > 1e6, np.inf, y))
+        assert exc.value.time > 0
 
 
 class TestLinearResponse:

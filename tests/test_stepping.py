@@ -86,6 +86,28 @@ class TestStopHook:
         tr = integrate(lambda y, t: np.ones_like(y), [0.0], spec, stop=lambda y, dy: y[0] >= 3.0)
         assert list(tr["y0"]) == [0.0, 1.0, 2.0, 3.0]
 
+    def test_bs3_stop_lands_on_the_next_grid_point(self):
+        # the hook sees each accepted step's end, whose derivative is the
+        # last RHS call; after it fires the run steps on to the next grid
+        # point, which is the last row, a stepped state
+        rhs, calls = counting(lambda y, t: -y)
+        seen = []  # (step end time, state, what the hook returned)
+
+        def stop(y, dy):
+            seen.append((calls[-1], y.copy(), abs(dy[0]) < 1e-2))
+            return seen[-1][2]
+
+        spec = IntegratorSpec(method="bs3", dt=0.5, t_end=100.0)
+        tr = integrate(rhs, [1.0], spec, stop=stop)
+        fired = next(k for k, (_, _, hit) in enumerate(seen) if hit)
+        t_fired = seen[fired][0]
+        assert t_fired % spec.dt != 0.0  # off the grid, so the landing is tested
+        assert tr.n_samples - 1 == int(np.ceil(t_fired / spec.dt))
+        t_last, y_last, _ = seen[-1]
+        assert t_last == tr.times[-1]
+        assert tr["y0"][-1] == y_last[0]
+        assert all(t_fired < t <= t_last for t, _, _ in seen[fired + 1:])
+
 
 def relaxing_network():
     # two loops sharing an edge, one series EMF, and a dangling edge that
@@ -97,16 +119,67 @@ def relaxing_network():
     return g, hp
 
 
+def free_rate(w, dw):
+    return np.where(((w >= 1.0) & (dw > 0)) | ((w <= 0.0) & (dw < 0)), 0.0, dw)
+
+
 def network_reference(g, hp, spec, tol):
+    # the rate is clamp-aware, as simulate_network steps it: zero where a
+    # bound holds the memory, also in the RK4 stages
     system = kirchhoff_system(g)
     s = source_vector(g, hp)
+    return reference_run(lambda w, t: free_rate(w, memnet_rhs(w, s, system, hp)), np.full(len(s), 0.5),
+                         spec, clip=True, done=lambda w, dw: np.max(np.abs(dw)) < tol)
 
-    def done(w, dw):
-        free = np.where(((w >= 1.0) & (dw > 0)) | ((w <= 0.0) & (dw < 0)), 0.0, dw)
-        return np.max(np.abs(free)) < tol
 
-    return reference_run(lambda w, t: memnet_rhs(w, s, system, hp), np.full(len(s), 0.5),
-                         spec, clip=True, done=done)
+def bipolar_network():
+    # one loop edge against the flow, so memories end at both bounds, and a
+    # dangling edge that stays inside
+    edges = (Edge(0, 1, "memristor", 2.0), Edge(2, 1), Edge(2, 0), Edge(1, 3), Edge(3, 2), Edge(3, 4))
+    return CircuitGraph(n_nodes=5, edges=edges), HpParams(alpha=0.0, beta=1.0, r_on=1.0, r_off=10.0)
+
+
+class TestBs3Network:
+    """bs3 on a network whose memories reach the clamp."""
+
+    def test_held_memories_sit_exactly_on_their_bound(self):
+        g, hp = bipolar_network()
+        spec = IntegratorSpec(method="bs3", dt=0.1, t_end=100.0)
+        run = simulate_network(g, None, hp, spec)
+        w = np.array([run.trace[f"w{i}"] for i in range(len(g.edges))])
+        assert np.all((w >= 0.0) & (w <= 1.0))
+        assert np.array_equal(run.trace["mean_w"], np.ascontiguousarray(w.T).mean(axis=1))
+        bounds = set()
+        for row in w:
+            end = row[-1]
+            if end in (0.0, 1.0):
+                bounds.add(end)
+                first = int(np.argmax(row == end))
+                assert np.all(row[first:] == end)
+                assert first < row.size - 1
+        assert bounds == {0.0, 1.0}
+        assert 0.0 < w[-1, -1] < 1.0
+
+    def test_steady_stop_lands_on_the_grid(self):
+        g, hp = bipolar_network()
+        tol = 1e-6
+        spec = IntegratorSpec(method="bs3", dt=0.1, t_end=100.0)
+        run = simulate_network(g, None, hp, spec, steady_tol=tol)
+        assert run.steady and run.stop_reason == "steady"
+        assert run.trace.n_samples - 1 < spec.n_steps
+        w_end = np.array([run.trace[f"w{i}"][-1] for i in range(len(g.edges))])
+        dw = memnet_rhs(w_end, source_vector(g, hp), kirchhoff_system(g), hp)
+        assert np.max(np.abs(free_rate(w_end, dw))) < tol
+        # three evaluations per attempted step and one for the first
+        assert (run.rhs_calls - 1) % 3 == 0
+        assert run.rhs_calls >= 3 * run.steps + 1
+
+    def test_never_steady_runs_to_t_end(self):
+        g, hp = bipolar_network()
+        spec = IntegratorSpec(method="bs3", dt=0.1, t_end=1.0)
+        run = simulate_network(g, None, hp, spec)
+        assert not run.steady and run.stop_reason == "t_end"
+        assert run.trace.n_samples == spec.n_steps + 1
 
 
 def lca_problem():
@@ -146,7 +219,8 @@ class TestNetworkMatchesReference:
         got = np.column_stack([run.trace[f"w{i}"] for i in range(rows.shape[1])])
         assert np.array_equal(got, rows)
         assert np.array_equal(run.trace["mean_w"], rows.mean(axis=1))
-        assert run.trace.n_samples - 1 == k
+        assert run.trace.n_samples - 1 == run.steps == k
+        assert run.rhs_calls == {"euler": 1, "rk4": 4}[method] * k + 1
         assert run.steady is fired
         assert run.stop_reason == ("steady" if fired else "t_end")
         return fired
