@@ -47,6 +47,8 @@ _METHODS = ("euler", "rk4", "bs3")
 # error tolerances of the "bs3" pair, on every component the clamp leaves free
 BS3_RTOL = 1e-7
 BS3_ATOL = 1e-7
+# values formatted per call by ``Trace.to_csv``: one block of rows at a time
+CSV_BLOCK_VALUES = 8192
 
 
 class SimulationError(RuntimeError):
@@ -143,26 +145,39 @@ class Trace:
         return self.channels[name]
 
     def to_csv(self, path_or_file) -> None:
-        """Write ``t,<channel>,...`` rows; plain decimal point, locale-free."""
-        np.savetxt(path_or_file, np.column_stack([self.times, *self.channels.values()]),
-                   fmt="%.17g", delimiter=",", header="t," + ",".join(self.names), comments="")
+        """Write the header ``t,<channel>,...`` and one row per sample.
+
+        Every cell is ``"%.17g" % value`` (plain decimal point, locale-free,
+        ``nan``/``inf``/``-0`` as Python prints them), which reads back as the
+        same double.  Rows go out in blocks of
+        ``max(1, CSV_BLOCK_VALUES // n_columns)``, each formatted by one ``%``
+        call and written at once; a block's times are computed for that block
+        alone, so no copy of the whole trace, nor of its time column, is made.
+        ``path_or_file`` is a path, opened with ``open(path, "w")``, or a text
+        file object, which is written to.
+        """
+        if hasattr(path_or_file, "write"):
+            self._write_csv(path_or_file)
+        else:
+            with open(path_or_file, "w") as fh:
+                self._write_csv(fh)
+
+    def _write_csv(self, fh) -> None:
+        columns = list(self.channels.values())
+        n_columns = len(columns) + 1
+        row_fmt = ",".join(["%.17g"] * n_columns) + "\n"
+        block_rows = max(1, CSV_BLOCK_VALUES // n_columns)
+        fh.write("t," + ",".join(self.names) + "\n")
+        for k in range(0, self.n_samples, block_rows):
+            k_end = min(k + block_rows, self.n_samples)
+            block = np.column_stack([self.t0 + self.dt * np.arange(k, k_end),
+                                     *(c[k:k_end] for c in columns)])
+            fh.write((row_fmt * (k_end - k)) % tuple(block.ravel().tolist()))
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         self.to_csv(buf)
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, path) -> "Trace":
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        names = list(data.dtype.names)
-        t = np.atleast_1d(data["t"])
-        dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
-        return cls(
-            t0=float(t[0]),
-            dt=dt,
-            channels={n: np.atleast_1d(data[n]) for n in names if n != "t"},
-        )
 
 
 @dataclass(frozen=True)
@@ -270,7 +285,7 @@ def integrate(
         if poststep is not None:
             y = np.asarray(poststep(y), dtype=float)
         t = (k + 1) * dt
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise IntegrationDivergedError(t)
         rows.append(y)
         if stop is not None:
@@ -300,7 +315,7 @@ def _bs3_rows(rhs, y, spec: IntegratorSpec, poststep, stop) -> np.ndarray:
         k3 = np.asarray(rhs(clamp(y + (0.75 * h) * k2), t + 0.75 * h), dtype=float)
         raw = y + h * ((2.0 / 9.0) * f + (1.0 / 3.0) * k2 + (4.0 / 9.0) * k3)
         y_new = clamp(raw)
-        if not np.all(np.isfinite(y_new)):
+        if not np.isfinite(y_new).all():
             raise IntegrationDivergedError(t_new)
         f_new = np.asarray(rhs(y_new, t_new), dtype=float)
         free = y_new == raw

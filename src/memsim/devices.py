@@ -368,21 +368,18 @@ def threshold_f(v, p: ThresholdDeviceParams):
     return out if out.ndim else float(out)
 
 
-def _heaviside(x):
-    # theta(0) = 0 so that a state clamped exactly at a bound has zero rate.
-    return np.where(np.asarray(x, dtype=float) > 0, 1.0, 0.0)
-
-
 def threshold_device_rhs(m, v_m, p: ThresholdDeviceParams):
     """dM/dt = f(V_M) (theta(V_M) theta(M-r1) + theta(-V_M) theta(r2-M)).
 
     The Heaviside gates block motion past [r1, r2]; simulation drivers
     additionally clamp M into the interval after each step, so one Euler
-    step is the most the state can overshoot by.
+    step is the most the state can overshoot by.  theta(0) = 0, so a state
+    clamped exactly at a bound has zero rate; the gate is a boolean, and the
+    product with it keeps a NaN response (and the sign of a zero one).
     """
     m = np.asarray(m, dtype=float)
     v_m = np.asarray(v_m, dtype=float)
-    gate = _heaviside(v_m) * _heaviside(m - p.r1) + _heaviside(-v_m) * _heaviside(p.r2 - m)
+    gate = (v_m > 0) & (m > p.r1) | (v_m < 0) & (m < p.r2)
     out = threshold_f(v_m, p) * gate
     return out if out.ndim else float(out)
 

@@ -322,6 +322,31 @@ class TestThresholdDevice:
         # interior states move
         assert threshold_device_rhs(10.0, 1.0, self.P) != 0.0
 
+    def test_gate_matches_heaviside_product_bitwise(self):
+        # the gate as the displayed formula writes it: Heaviside products with theta(0) = 0
+        def heaviside(x):
+            return np.where(np.asarray(x, dtype=float) > 0, 1.0, 0.0)
+
+        def reference(m, v):
+            gate = heaviside(v) * heaviside(m - self.P.r1) + heaviside(-v) * heaviside(self.P.r2 - m)
+            return threshold_f(v, self.P) * gate
+
+        rng = np.random.default_rng(11)
+        m = rng.uniform(0.0, 25.0, 10_000)
+        v = rng.uniform(-6.0, 6.0, 10_000)
+        m[:1000:4], m[1:1000:4] = self.P.r1, self.P.r2
+        v[2:1000:4], v[3:1000:4] = 0.0, -0.0
+        v[1000:1100] = [-self.P.v_t, self.P.v_t, np.inf, -np.inf] * 25
+        m[1100:1200], v[1200:1300] = np.nan, np.nan
+        m[1300:1400] = [np.inf, -np.inf] * 50
+        with np.errstate(invalid="ignore"):  # f(+-inf) is inf - inf
+            got = threshold_device_rhs(m, v, self.P)
+            want = reference(m, v)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            for mi, vi in zip(m[::97], v[::97]):
+                g, w = threshold_device_rhs(mi, vi, self.P), float(reference(mi, vi))
+                assert type(g) is float and np.float64(g).view(np.int64) == np.float64(w).view(np.int64)
+
     def test_euler_stays_inside_with_clamp(self):
         rng = np.random.default_rng(3)
         m = 10.0

@@ -1,9 +1,12 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memsim.core import (
+    CSV_BLOCK_VALUES,
     DriveSignal,
     IntegrationDivergedError,
     IntegratorSpec,
@@ -300,15 +303,69 @@ class TestLinearResponse:
         assert y.max() == 0.5
 
 
+def savetxt_text(tr: Trace) -> str:
+    """The CSV text of ``tr`` as ``np.savetxt`` writes it, as an oracle for ``Trace.to_csv``."""
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack([tr.times, *tr.channels.values()]), fmt="%.17g",
+               delimiter=",", header="t," + ",".join(tr.names), comments="")
+    return buf.getvalue()
+
+
+@st.composite
+def csv_traces(draw):
+    """Traces whose row counts sit at, around and past ``to_csv``'s block size."""
+    n_columns = draw(st.one_of(st.integers(2, 9), st.sampled_from(
+        (1000, CSV_BLOCK_VALUES // 2, CSV_BLOCK_VALUES - 1, CSV_BLOCK_VALUES,
+         CSV_BLOCK_VALUES + 1, CSV_BLOCK_VALUES + 3))), label="columns")
+    block = max(1, CSV_BLOCK_VALUES // n_columns)
+    n_rows = draw(st.one_of(st.just(1), st.sampled_from((block - 1, block, block + 1)).filter(bool),
+                            st.integers(2, 3 * block + 1)), label="rows")
+    pool = draw(st.lists(st.floats(), min_size=1, max_size=12), label="values")
+    pool += [0.0, -0.0, np.inf, -np.inf, np.nan]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = rng.choice(np.array(pool), size=(n_columns - 1, n_rows))
+    t0 = draw(st.floats(-1e6, 1e6), label="t0")
+    dt = draw(st.floats(1e-9, 1e3), label="dt")
+    return Trace(t0=t0, dt=dt, channels={f"c{i}": v for i, v in enumerate(values)})
+
+
 class TestTrace:
     def test_csv_roundtrip(self, tmp_path):
         tr = Trace(t0=0.0, dt=0.5, channels={"a": [1.0, 2.0, 3.0], "b": [0.1, 0.2, 0.3]})
         path = tmp_path / "t.csv"
         tr.to_csv(str(path))
-        back = Trace.from_csv(str(path))
-        assert back.names == ("a", "b")
-        assert np.allclose(back["a"], tr["a"])
-        assert back.dt == tr.dt
+        assert path.read_text().splitlines()[0] == "t,a,b"
+        # %.17g round-trips every double, so the file reads back exactly
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(back, np.column_stack([tr.times, tr["a"], tr["b"]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tr=csv_traces())
+    def test_bytes_match_savetxt(self, tr, tmp_path_factory):
+        want = savetxt_text(tr)
+        assert tr.to_csv_text() == want
+        buf = io.StringIO()
+        tr.to_csv(buf)
+        assert buf.getvalue() == want
+        path = tmp_path_factory.mktemp("csv") / "trace.csv"
+        tr.to_csv(str(path))
+        assert path.read_bytes() == want.encode()
+        path.unlink()
+        tr.to_csv(path)
+        assert path.read_bytes() == want.encode()
+
+    def test_writing_copies_no_whole_trace(self, tmp_path):
+        rng = np.random.default_rng(5)
+        tr = Trace(t0=0.0, dt=1e-3, channels={n: rng.standard_normal(100_000) for n in "abc"})
+        tracemalloc.start()
+        try:
+            tr.to_csv(tmp_path / "big.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 100 000 x 4 stack alone would be 3.2 MB
+        assert peak < 1.5e6
+        assert (tmp_path / "big.csv").read_text().count("\n") == 100_001
 
     def test_cells_match_format_17g(self, tmp_path):
         vals = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308]
