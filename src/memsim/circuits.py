@@ -123,9 +123,8 @@ def mc_simulate(p: McParams, q0: float, spec: IntegratorSpec) -> Trace:
     def rhs(y, t):
         return np.array([-y[0] / (mc_resistance(y[0], p) * p.c)])
 
-    tr = integrate(rhs, [q0], spec, names=["q"])
-    q = tr["q"]
-    return Trace(t0=tr.t0, dt=tr.dt, channels={"q": q, "v_c": q / p.c, "r": mc_resistance(q, p)})
+    q = integrate(rhs, [q0], spec)[:, 0]
+    return Trace(t0=0.0, dt=spec.dt, channels={"q": q, "v_c": q / p.c, "r": mc_resistance(q, p)})
 
 
 def mc_calibrate(p: McParams, q0: float) -> McParams:
@@ -224,15 +223,14 @@ def amoeba_simulate(
         def rhs(state, t, drive=drive):
             return amoeba_rhs(state, eval_signal(drive, t), p)
 
-        tr = integrate(rhs, y, seg_spec, names=["i", "v_c", "m"], poststep=clamp)
-        block = np.column_stack([tr["i"], tr["v_c"], tr["m"]])
-        vblock = np.asarray(eval_signal(drive, tr.times), dtype=float)
+        block = integrate(rhs, y, seg_spec, poststep=clamp)
+        vblock = np.asarray(eval_signal(drive, spec.dt * np.arange(len(block))), dtype=float)
         if not first:
             block = block[1:]
             vblock = vblock[1:]
         pieces.append(block)
         vs.append(vblock)
-        y = block[-1].copy()
+        y = block[-1]
         first = False
     data = np.vstack(pieces)
     v = np.concatenate(vs)

@@ -90,21 +90,38 @@ from .presets import PRESETS, default_preset
 EXPERIMENTS = tuple(PRESETS)
 
 
+def _type_mismatch(ref, value) -> str | None:
+    """What ``value`` must be to replace the preset value ``ref``, or None if it is that.
+
+    A preset int asks for an int and a preset float for an int or a float;
+    a bool stands in for neither.
+    """
+    if isinstance(ref, bool):
+        ok, need = isinstance(value, bool), "a boolean"
+    elif isinstance(ref, int):
+        ok, need = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(ref, float):
+        ok, need = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    elif isinstance(ref, str):
+        ok, need = isinstance(value, str), "a string"
+    else:
+        ok, need = isinstance(value, list), "a list"
+    return None if ok else need
+
+
 def _validate_params(experiment: str, params: dict) -> dict:
     base = dict(PRESETS[experiment][default_preset(experiment)])
     for key, value in params.items():
         if key not in base:
             raise ValueError(f"unknown config field '{key}' for experiment '{experiment}'")
         ref = base[key]
-        if isinstance(ref, bool) and not isinstance(value, bool):
-            raise ValueError(f"config field '{key}' must be a boolean")
-        if isinstance(ref, (int, float)) and not isinstance(ref, bool):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"config field '{key}' must be a number")
-        if isinstance(ref, str) and not isinstance(value, str):
-            raise ValueError(f"config field '{key}' must be a string")
-        if isinstance(ref, list) and not isinstance(value, list):
-            raise ValueError(f"config field '{key}' must be a list")
+        need = _type_mismatch(ref, value)
+        if need:
+            raise ValueError(f"config field '{key}' must be {need}")
+        if isinstance(ref, list):
+            need = next(filter(None, (_type_mismatch(ref[0], v) for v in value)), None)
+            if need:
+                raise ValueError(f"every element of config field '{key}' must be {need}")
         base[key] = value
     return base
 
@@ -171,13 +188,26 @@ def _hp(params: dict) -> HpParams:
 # experiment runners: params -> (metrics, traces, extra_text)
 
 
+def _sweep(params) -> tuple[list, int]:
+    """The drive frequencies and samples per period of a frequency sweep, checked."""
+    n = params["samples_per_period"]
+    if n < 1:
+        raise ValueError(f"samples_per_period must be >= 1, got {n}")
+    if not params["frequencies"]:
+        raise ValueError("frequencies must hold at least one drive frequency")
+    for f in params["frequencies"]:
+        if not f > 0:
+            raise ValueError(f"drive frequencies must be > 0, got {f}")
+    return params["frequencies"], n
+
+
 def run_hysteresis(params, rng):
     hp = _hp(params)
     metrics = {}
     traces = {}
     areas = []
-    for f in params["frequencies"]:
-        n = int(params["samples_per_period"])
+    frequencies, n = _sweep(params)
+    for f in frequencies:
         spec = IntegratorSpec(dt=1.0 / (f * n), t_end=1.0 / f)
         drive = DriveSignal("sine", amplitude=params["amplitude"], frequency=f)
         tr = simulate_hp_voltage_driven(hp, drive, params["w0"], spec)
@@ -186,7 +216,7 @@ def run_hysteresis(params, rng):
         areas.append(loop_area(v, i))
         metrics[f"loop_area_f{f:g}"] = areas[-1]
     metrics["areas_strictly_decreasing"] = all(a > b for a, b in zip(areas, areas[1:]))
-    top = traces[f"iv_f{max(params['frequencies']):g}"]
+    top = traces[f"iv_f{max(frequencies):g}"]
     v, i = top["v"], top["i"]
     coef = np.polyfit(v, i, 1)
     metrics["top_frequency_line_dev"] = float(np.max(np.abs(i - np.polyval(coef, v))) / np.max(np.abs(i)))
@@ -269,14 +299,14 @@ def run_amoeba(params, rng):
 def run_plant(params, rng):
     metrics = {}
     traces = {}
+    frequencies, n = _sweep(params)
     for tag, rc in (("rc", True), ("ideal", False)):
         p = PlantParams(
             p_beta=params["p_beta"], r_o=params["r_o"], a_const=params["a_const"],
             h_kind=params["h_kind"], h_coeff=params["h_coeff"],
             rc_r=params["rc_r"] if rc else None, rc_c=params["rc_c"] if rc else None,
         )
-        for f in params["frequencies"]:
-            n = int(params["samples_per_period"])
+        for f in frequencies:
             spec = IntegratorSpec(dt=1.0 / (f * n), t_end=2.0 / f)
             drive = DriveSignal("sine", amplitude=params["amplitude"], frequency=f)
             tr = plant_simulate(p, drive, spec)
@@ -380,7 +410,7 @@ def run_crossbar_train(params, rng, literal=False):
         angle = np.degrees(np.arccos(min(1.0, abs(float(lead @ evec)))))
         metrics["leading_axis_angle_deg"] = angle
     elif kind == "adaline":
-        rule = UpdateRule("adaline", eta=eta)
+        rule = UpdateRule("adaline", eta=eta, literal=literal)
         w = np.zeros((n_in, n_in))
         for x in xs:
             w = apply_update(w, rule, x)
@@ -389,7 +419,7 @@ def run_crossbar_train(params, rng, literal=False):
         metrics["hebbian_vs_cov_err"] = float(
             np.max(np.abs(scaled - (xs.T @ xs) / len(xs))))
     elif kind == "gradient":
-        rule = UpdateRule("gradient", eta=eta)
+        rule = UpdateRule("gradient", eta=eta, literal=literal)
         target = rng.standard_normal((n_out, n_in))
         w = np.zeros((n_out, n_in))
         for x in xs:

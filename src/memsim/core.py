@@ -3,7 +3,8 @@
 Everything here is pure: the same inputs always produce bit-identical outputs.
 ``integrate`` is the package's one stepping loop: fixed-step Euler or RK4,
 or the error-controlled Bogacki-Shampine 3(2) pair, which emits its rows on
-the same uniform grid.  State clamping (where a model needs it) is supplied
+the same uniform grid, and returns them as one (rows x state) array, row k
+at time ``k * spec.dt``.  State clamping (where a model needs it) is supplied
 by the caller through the ``poststep`` hook; the integrator itself never
 touches the state.  Runs that end early (a network reaching steady state,
 the LCA reaching its fixed point) pass a ``stop`` hook, which sees the state
@@ -189,10 +190,10 @@ class IntegratorSpec:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {_METHODS}")
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if self.t_end < 0:
-            raise ValueError("t_end must be >= 0")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end!r}")
 
     @property
     def n_steps(self) -> int:
@@ -203,11 +204,10 @@ def integrate(
     rhs: Callable[[np.ndarray, float], np.ndarray],
     state0: Sequence[float],
     spec: IntegratorSpec,
-    names: Sequence[str] | None = None,
     poststep: Callable[[np.ndarray], np.ndarray] | None = None,
     stop: Callable[[np.ndarray, np.ndarray], bool] | None = None,
-) -> Trace:
-    """Integrate ``dy/dt = rhs(y, t)``; one trace row every ``spec.dt``.
+) -> np.ndarray:
+    """Integrate ``dy/dt = rhs(y, t)``; returns (rows x state), row k at ``k * spec.dt``.
 
     ``euler`` and ``rk4`` take fixed steps of ``spec.dt``, one per row.
     ``bs3`` is the Bogacki-Shampine 3(2) pair with error control: its steps
@@ -221,7 +221,7 @@ def integrate(
     interpolant between the steps around them (for a component the clamp
     stopped inside the step, the quadratic through its start, its rate there
     and its unclamped end, cut by ``poststep``), and the last step lands on
-    the last grid point, so the trace is uniform either way, with
+    the last grid point, so the rows are uniform either way, with
     ``n_steps + 1`` rows unless the run stops early; ``spec.dt`` is then the
     output spacing only.
 
@@ -230,12 +230,11 @@ def integrate(
     rhs : callable(state, t) -> derivative
     state0 : initial state vector (finite)
     spec : IntegratorSpec (euler, rk4 or bs3)
-    names : channel names, default ``y0, y1, ...``
     poststep : optional state transform applied after every step (device
         models use this for hard clamping; the integrator itself never
         clamps).  Under bs3 it is also applied to every stage state and to
         the interpolated rows, passed as a stack (rows x state), so it must
-        act row by row; no state the RHS sees or the trace holds then
+        act row by row; no state the RHS sees or the rows hold then
         leaves the clamp.
     stop : optional early-stop hook ``stop(state, derivative) -> bool``,
         called after every accepted step (after ``poststep``) with the new
@@ -261,13 +260,8 @@ def integrate(
         y = y.ravel()
     if not np.all(np.isfinite(y)):
         raise ValueError("state0 must be finite")
-    if names is None:
-        names = [f"y{i}" for i in range(y.size)]
-    if len(names) != y.size:
-        raise ValueError("number of names must match the state dimension")
     if spec.method == "bs3":
-        out = _bs3_rows(rhs, y, spec, poststep, stop)
-        return Trace(t0=0.0, dt=spec.dt, channels={nm: out[:, i] for i, nm in enumerate(names)})
+        return _bs3_rows(rhs, y, spec, poststep, stop)
     dt = spec.dt
     # one row per step taken: a run that stops early never allocates the rest
     rows = [y]
@@ -292,8 +286,7 @@ def integrate(
             dy = np.asarray(rhs(y, t), dtype=float)
             if stop(y, dy):
                 break
-    out = np.array(rows)
-    return Trace(t0=0.0, dt=dt, channels={nm: out[:, i] for i, nm in enumerate(names)})
+    return np.array(rows)
 
 
 def _bs3_rows(rhs, y, spec: IntegratorSpec, poststep, stop) -> np.ndarray:

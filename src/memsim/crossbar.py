@@ -132,6 +132,8 @@ class UpdateRule:
             raise ValueError(f"unknown update rule {self.kind!r}")
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
+        if self.literal and self.kind != "sanger":
+            raise ValueError(f"the literal form exists for the sanger rule only, not {self.kind!r}")
 
 
 @dataclass(frozen=True)

@@ -449,7 +449,7 @@ def simulate_hp_voltage_driven(
             i = v / hp_resistance(w, p)
             return np.array([hp_rhs(w, i, p, win)])
 
-        w = integrate(rhs, [w0], spec, names=["w"], poststep=clamp01)["w"]
+        w = integrate(rhs, [w0], spec, poststep=clamp01)[:, 0]
     v = np.asarray(eval_signal(drive, spec.dt * np.arange(spec.n_steps + 1)), dtype=float)
     r = hp_resistance(w, p)
     i = v / r

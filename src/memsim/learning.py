@@ -194,11 +194,11 @@ class MemristiveReservoir:
         def drive(t):
             return b @ inputs(t)
 
-        tr = integrate(lambda w, t: memnet_rhs(w, drive(t), self._system, self.hp),
-                       np.full(self.dim, 0.5), spec, poststep=clamp01)
-        out = np.empty((tr.n_samples, self.out_dim))
-        out[:, :self.dim] = np.column_stack([tr[name] for name in tr.names])
-        for k, t in enumerate(tr.times.tolist()):
+        rows = integrate(lambda w, t: memnet_rhs(w, drive(t), self._system, self.hp),
+                         np.full(self.dim, 0.5), spec, poststep=clamp01)
+        out = np.empty((len(rows), self.out_dim))
+        out[:, :self.dim] = rows
+        for k, t in enumerate((spec.dt * np.arange(len(rows))).tolist()):
             out[k, self.dim:] = edge_currents(out[k, :self.dim], drive(t), self._system, self.hp)
         return out
 
@@ -423,9 +423,8 @@ def lca_simulate(p: LcaProblem, x, spec: IntegratorSpec, tol: float = 1e-8) -> L
         converged = bool(np.max(np.abs(du)) < tol)
         return converged
 
-    trace = integrate(rhs, np.zeros(n_atoms), spec, names=[f"u{i}" for i in range(n_atoms)],
-                      stop=reached_fixed_point)
+    rows = integrate(rhs, np.zeros(n_atoms), spec, stop=reached_fixed_point)
     if not converged:
         warnings.warn("LCA did not reach a fixed point within t_end", RuntimeWarning, stacklevel=2)
-    u = np.array([trace[f"u{i}"][-1] for i in range(n_atoms)])
-    return LcaResult(a=hard_threshold(u, p.lam), trace=trace, converged=converged)
+    trace = Trace(t0=0.0, dt=spec.dt, channels={f"u{i}": rows[:, i] for i in range(n_atoms)})
+    return LcaResult(a=hard_threshold(rows[-1], p.lam), trace=trace, converged=converged)

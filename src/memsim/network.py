@@ -456,9 +456,6 @@ class NetworkRun:
     rhs_calls: int  # evaluations of the network equation, one current solve each
 
 
-MEAN_BLOCK = 1024  # rows of the memory trace simulate_network averages at once
-
-
 def simulate_network(
     g: CircuitGraph,
     s,
@@ -477,7 +474,8 @@ def simulate_network(
     ``spec.method == "bs3"`` (what ``soc_experiment`` and ``solve_maze``
     use) the steps follow the error and ``spec.dt`` is the row spacing.
     Stops once the rate norm falls below ``steady_tol``, at the next row.
-    The trace carries w0..w{E-1} plus the instantaneous mean channel.  Every
+    The trace carries the columns of ``integrate``'s rows as w0..w{E-1} and
+    their mean over each row as ``mean_w``.  Every
     rate evaluation solves the currents with ``kirchhoff_system(g)``, built
     once here and returned as ``NetworkRun.system`` for the caller's own
     solves; ``NetworkRun.steps`` and ``rhs_calls`` count the accepted steps
@@ -504,13 +502,9 @@ def simulate_network(
         steady = steady or bool(np.max(np.abs(dw)) < steady_tol)
         return steady
 
-    tr = integrate(rate, w, spec, names=[f"w{i}" for i in range(n_e)], poststep=clamp01, stop=reached_steady)
-    # the mean of each row, a block of rows at a time, so that the memory
-    # trace is never copied whole
-    cols = list(tr.channels.values())
-    channels = dict(tr.channels)
-    channels["mean_w"] = np.concatenate([np.column_stack([c[k:k + MEAN_BLOCK] for c in cols]).mean(axis=1)
-                                         for k in range(0, tr.n_samples, MEAN_BLOCK)])
+    rows = integrate(rate, w, spec, poststep=clamp01, stop=reached_steady)
+    channels = {f"w{i}": rows[:, i] for i in range(n_e)}
+    channels["mean_w"] = rows.mean(axis=1)
     trace = Trace(t0=0.0, dt=spec.dt, channels=channels)
     return NetworkRun(trace=trace, steady=steady, stop_reason="steady" if steady else "t_end",
                       system=system, steps=steps, rhs_calls=rhs_calls)

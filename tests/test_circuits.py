@@ -181,6 +181,19 @@ class TestAmoeba:
         # M stops once V_C has died away
         assert abs(tr["m"][-1] - tr["m"][-100]) < 1e-8
 
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_split_dc_schedule_gives_the_one_segment_rows(self, method):
+        # each segment restarts the drive's clock and the stepping, which a
+        # constant drive cannot tell apart from one run; M hits R1 on the way
+        drive = DriveSignal("dc", amplitude=0.5)
+        spec = IntegratorSpec(method=method, dt=0.1, t_end=450.0)
+        one = amoeba_simulate(AMOEBA, [1.0, 1.0, 7.0], [(450.0, drive)], spec)
+        two = amoeba_simulate(AMOEBA, [1.0, 1.0, 7.0], [(150.0, drive), (300.0, drive)], spec)
+        assert one.n_samples == two.n_samples == spec.n_steps + 1
+        assert one["m"].min() == 3.0
+        for name in ("i", "v_c", "m", "v"):
+            assert np.array_equal(one[name], two[name]), name
+
     def test_bounds_invariant_random_drive(self):
         schedule = [(30.0, DriveSignal("square", amplitude=4.0, frequency=0.2))]
         spec = IntegratorSpec(method="euler", dt=0.05, t_end=30.0)

@@ -83,6 +83,52 @@ class TestCliBasics:
         assert main(["energy", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+class TestConfigTypes:
+    """A config value must have the type of the preset value it replaces."""
+
+    @staticmethod
+    def run(tmp_path, experiment, params):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"schema": 1, "experiment": experiment, "params": params}))
+        return main([experiment, "--config", str(cfg), "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_integer_field_needs_an_int(self, tmp_path, capsys, value):
+        assert self.run(tmp_path, "crossbar-mvm", {"rows": value}) == 2
+        assert capsys.readouterr().err == "error: config field 'rows' must be an integer\n"
+        assert not (tmp_path / "crossbar-mvm").exists()
+
+    @pytest.mark.parametrize("experiment,params,need", [
+        ("plant", {"frequencies": ["a"]}, "a number"),
+        ("plant", {"frequencies": [1.0, True]}, "a number"),
+        ("stdp", {"timings": [0.0, None]}, "a number"),
+        ("energy", {"n_values": [1, 2.5]}, "an integer"),
+        ("energy", {"n_values": [False]}, "an integer"),
+    ])
+    def test_list_elements_have_the_preset_element_type(self, tmp_path, capsys, experiment, params, need):
+        assert self.run(tmp_path, experiment, params) == 2
+        (key,) = params
+        assert capsys.readouterr().err == f"error: every element of config field '{key}' must be {need}\n"
+
+    def test_ints_stand_in_for_floats(self, tmp_path):
+        assert self.run(tmp_path, "crossbar-train", {"cov_diag": [4, 1], "n_samples": 50}) == 0
+        manifest = json.loads((tmp_path / "crossbar-train" / "manifest.json").read_text())
+        assert manifest["params"]["cov_diag"] == [4, 1]
+        assert self.run(tmp_path, "energy", {"n_values": [1, 3]}) == 0
+
+    @pytest.mark.parametrize("experiment", ["hysteresis", "plant"])
+    @pytest.mark.parametrize("params,message", [
+        ({"frequencies": [0]}, "drive frequencies must be > 0, got 0"),
+        ({"frequencies": [4.0, -1.0]}, "drive frequencies must be > 0, got -1.0"),
+        ({"frequencies": []}, "frequencies must hold at least one drive frequency"),
+        ({"samples_per_period": 0}, "samples_per_period must be >= 1, got 0"),
+    ])
+    def test_sweep_needs_positive_frequencies_and_samples(self, tmp_path, capsys, experiment, params,
+                                                          message):
+        assert self.run(tmp_path, experiment, params) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -240,6 +286,14 @@ class TestQuickExperiments:
         assert main(["crossbar-train", "--literal", "--seed", "5",
                      "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("rule", ["adaline", "gradient"])
+    def test_crossbar_train_literal_refused_without_sanger(self, tmp_path, capsys, rule):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"schema": 1, "experiment": "crossbar-train", "params": {"rule": rule}}))
+        assert main(["crossbar-train", "--literal", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: the literal form exists for the sanger rule only")
+        assert not (tmp_path / "crossbar-train").exists()
+
     def test_every_experiment_has_presets(self):
         # one preset per experiment, and its runner reads every field of it
         for name, presets in PRESETS.items():
@@ -302,6 +356,17 @@ class TestIntegratorFlags:
         assert parser.parse_args(["amoeba", "--dt", "0.2"]).dt == 0.2
         with pytest.raises(SystemExit):
             parser.parse_args(["amoeba", "--t-end", "5"])
+
+    @pytest.mark.parametrize("flag,field", [("--dt", "dt"), ("--t-end", "t_end")])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, flag, field, value):
+        offered = [name for name in PRESETS if field in PRESETS[name][default_preset(name)]]
+        assert len(offered) >= 5
+        for name in offered:
+            assert main([name, f"{flag}={value}", "--out", str(tmp_path)]) == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {field} must be finite"), (name, err)
+            assert not (tmp_path / name).exists(), name
 
     @pytest.mark.parametrize("flag,field", [("--dt", "dt"), ("--t-end", "t_end")])
     def test_offered_exactly_where_the_preset_has_the_field(self, flag, field, capsys):

@@ -112,8 +112,8 @@ class TestSwitchingTime:
 
         tau = switching_time(HP, v)
         spec = IntegratorSpec(method="rk4", dt=tau / 4000, t_end=1.2 * tau)
-        tr = integrate(rhs, [0.0], spec)
-        crossing = tr.times[np.searchsorted(tr["y0"], 1.0)]
+        w = integrate(rhs, [0.0], spec)[:, 0]
+        crossing = spec.dt * np.searchsorted(w, 1.0)
         assert abs(crossing - tau) / tau < 0.05
 
     def test_zero_voltage_rejected(self):
@@ -358,6 +358,12 @@ class TestApplyUpdate:
         with pytest.raises(ValueError):
             apply_update(np.zeros((1, 2)), UpdateRule("sanger", eta=0.1, literal=True),
                          np.ones(2))
+
+    @pytest.mark.parametrize("kind", ["generic", "adaline", "gradient"])
+    def test_literal_form_is_sanger_only(self, kind):
+        with pytest.raises(ValueError, match="sanger"):
+            UpdateRule(kind, eta=0.1, literal=True)
+        assert not UpdateRule(kind, eta=0.1).literal
 
 
 class TestStdp:

@@ -411,7 +411,6 @@ class TestSimulateNetwork:
         rtol = {"rk4": 1e-8, "bs3": 5e-6}[spec.method]
         assert np.allclose(run.trace["w0"][pre_clamp], grow[pre_clamp], rtol=rtol)
         assert run.trace["w0"][-1] == 1.0
-        # 6001 rows, so the mean channel is averaged over several blocks
         w = np.column_stack([run.trace[f"w{i}"] for i in range(3)])
         assert np.array_equal(run.trace["mean_w"], w.mean(axis=1))
 
@@ -423,6 +422,14 @@ class TestSimulateNetwork:
         )
         run = simulate_network(g, None, HP, self.spec("rk4", 1e-3, 1.0))
         assert np.max(np.abs(run.trace["w0"] - run.trace["w1"])) < 1e-12
+
+    def test_mean_channel_is_the_mean_of_the_memory_rows(self):
+        g = random_sourced(np.random.default_rng(3), 10)
+        run = simulate_network(g, None, HP, self.spec("rk4", 0.05, 20.0))
+        names = [f"w{i}" for i in range(len(g.edges))]
+        assert run.trace.names == (*names, "mean_w")
+        w = np.column_stack([run.trace[name] for name in names])
+        assert np.array_equal(run.trace["mean_w"], w.mean(axis=1))
 
 
 class TestSimulateNetworkBs3(TestSimulateNetwork):

@@ -62,20 +62,21 @@ class TestEvalSignal:
 class TestIntegrate:
     def test_zero_rhs_constant(self):
         spec = IntegratorSpec(method="rk4", dt=0.1, t_end=1.0)
-        tr = integrate(lambda y, t: np.zeros_like(y), [1.0], spec)
-        assert np.all(tr["y0"] == 1.0)
+        rows = integrate(lambda y, t: np.zeros_like(y), [1.0], spec)
+        assert rows.shape == (spec.n_steps + 1, 1)
+        assert np.all(rows[:, 0] == 1.0)
 
     def test_rk4_exponential_decay(self):
         spec = IntegratorSpec(method="rk4", dt=0.01, t_end=1.0)
-        tr = integrate(lambda y, t: -y, [1.0], spec)
-        assert abs(tr["y0"][-1] - np.exp(-1.0)) < 1e-6
+        rows = integrate(lambda y, t: -y, [1.0], spec)
+        assert abs(rows[-1, 0] - np.exp(-1.0)) < 1e-6
 
     def test_euler_hand_unrolled(self):
         # 10 Euler steps of dy/dt = -y with dt=0.1: y_n = (1 - 0.1)^n
         # (equality up to float associativity of y + dt*(-y) vs y*0.9)
         spec = IntegratorSpec(method="euler", dt=0.1, t_end=1.0)
-        tr = integrate(lambda y, t: -y, [1.0], spec)
-        final = tr["y0"][-1]
+        rows = integrate(lambda y, t: -y, [1.0], spec)
+        final = rows[-1, 0]
         assert final == pytest.approx(0.9**10, rel=5e-15)
         # and it is the Euler value, not the exact exponential
         assert abs(final - 0.9**10) < 1e-12 < abs(final - np.exp(-1.0))
@@ -83,16 +84,14 @@ class TestIntegrate:
     def test_deterministic_bit_identical(self):
         spec = IntegratorSpec(method="rk4", dt=0.01, t_end=2.0)
         rhs = lambda y, t: np.array([np.sin(t) - 0.3 * y[0]])
-        a = integrate(rhs, [0.2], spec)
-        b = integrate(rhs, [0.2], spec)
-        assert np.array_equal(a["y0"], b["y0"])
+        assert np.array_equal(integrate(rhs, [0.2], spec), integrate(rhs, [0.2], spec))
 
     def test_rk4_order(self):
         # halving dt must reduce the error by at least 8x on dy/dt = -y
         def err(dt):
             spec = IntegratorSpec(method="rk4", dt=dt, t_end=1.0)
-            tr = integrate(lambda y, t: -y, [1.0], spec)
-            return abs(tr["y0"][-1] - np.exp(-1.0))
+            rows = integrate(lambda y, t: -y, [1.0], spec)
+            return abs(rows[-1, 0] - np.exp(-1.0))
 
         assert err(0.1) / err(0.05) >= 8.0
 
@@ -105,18 +104,25 @@ class TestIntegrate:
 
     def test_poststep_clamp(self):
         spec = IntegratorSpec(method="euler", dt=0.3, t_end=3.0)
-        tr = integrate(lambda y, t: np.ones_like(y), [0.0], spec,
-                       poststep=lambda y: np.minimum(y, 0.5))
-        assert tr["y0"].max() == 0.5
+        rows = integrate(lambda y, t: np.ones_like(y), [0.0], spec,
+                         poststep=lambda y: np.minimum(y, 0.5))
+        assert rows[:, 0].max() == 0.5
 
     def test_names_and_validation(self):
         spec = IntegratorSpec(method="euler", dt=0.1, t_end=0.2)
-        tr = integrate(lambda y, t: -y, [1.0, 2.0], spec, names=["a", "b"])
-        assert tr.names == ("a", "b")
+        rows = integrate(lambda y, t: -y, [1.0, 2.0], spec)
+        assert isinstance(rows, np.ndarray) and rows.shape == (3, 2)
+        assert np.array_equal(rows[0], [1.0, 2.0])
         with pytest.raises(ValueError):
             integrate(lambda y, t: -y, [np.inf], spec)
         with pytest.raises(ValueError):
             IntegratorSpec(method="rk45", dt=0.1, t_end=1.0)
+
+    @pytest.mark.parametrize("field,value", [("dt", np.inf), ("dt", np.nan), ("dt", 0.0), ("dt", -np.inf),
+                                             ("t_end", np.inf), ("t_end", np.nan), ("t_end", -1.0)])
+    def test_spec_rejects_non_finite_or_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            IntegratorSpec(**{"method": "rk4", "dt": 0.1, "t_end": 1.0, field: value})
 
 
 class TestBs3:
@@ -140,34 +146,34 @@ class TestBs3:
     def test_exponential_decay(self):
         spec = IntegratorSpec(method="bs3", dt=0.1, t_end=5.0)
         rhs, calls = self.counted(lambda y, t: -y)
-        tr = integrate(rhs, [1.0], spec)
-        assert tr.n_samples == spec.n_steps + 1
-        assert tr.dt == spec.dt
-        assert np.max(np.abs(tr["y0"] - np.exp(-tr.times))) < 1e-6
+        rows = integrate(rhs, [1.0], spec)
+        assert rows.shape == (spec.n_steps + 1, 1)
+        t = spec.dt * np.arange(len(rows))
+        assert np.max(np.abs(rows[:, 0] - np.exp(-t))) < 1e-6
         # first-same-as-last: three new evaluations per attempted step
         assert (len(calls) - 1) % 3 == 0
 
     def test_damped_rotation(self):
         a = np.array([[-0.5, 2.0], [-2.0, -0.5]])
         spec = IntegratorSpec(method="bs3", dt=0.05, t_end=10.0)
-        tr = integrate(lambda y, t: a @ y, [1.0, 0.0], spec)
-        assert tr.n_samples == spec.n_steps + 1
-        t = tr.times
+        rows = integrate(lambda y, t: a @ y, [1.0, 0.0], spec)
+        assert len(rows) == spec.n_steps + 1
+        t = spec.dt * np.arange(len(rows))
         decay = np.exp(-0.5 * t)
-        assert np.max(np.abs(tr["y0"] - decay * np.cos(2.0 * t))) < 5e-6
-        assert np.max(np.abs(tr["y1"] + decay * np.sin(2.0 * t))) < 5e-6
+        assert np.max(np.abs(rows[:, 0] - decay * np.cos(2.0 * t))) < 5e-6
+        assert np.max(np.abs(rows[:, 1] + decay * np.sin(2.0 * t))) < 5e-6
 
     def test_time_dependent_rhs(self):
         spec = IntegratorSpec(method="bs3", dt=0.1, t_end=20.0)
-        tr = integrate(lambda y, t: np.array([np.cos(t)]), [0.0], spec)
-        assert np.max(np.abs(tr["y0"] - np.sin(tr.times))) < 1e-6
+        rows = integrate(lambda y, t: np.array([np.cos(t)]), [0.0], spec)
+        assert np.max(np.abs(rows[:, 0] - np.sin(spec.dt * np.arange(len(rows))))) < 1e-6
 
     def test_last_row_lands_on_t_end(self):
         # steps grow tenfold on an exact solution, so the last one is cut to land
         spec = IntegratorSpec(method="bs3", dt=0.3, t_end=30.0)
-        tr = integrate(lambda y, t: np.ones_like(y), [0.0], spec)
-        assert tr.n_samples == 101
-        assert np.allclose(tr["y0"], tr.times, rtol=0.0, atol=1e-12)
+        rows = integrate(lambda y, t: np.ones_like(y), [0.0], spec)
+        assert len(rows) == 101
+        assert np.allclose(rows[:, 0], spec.dt * np.arange(len(rows)), rtol=0.0, atol=1e-12)
 
     def test_poststep_on_stages_and_rows(self):
         seen = []
@@ -177,9 +183,9 @@ class TestBs3:
             return np.ones_like(y)
 
         spec = IntegratorSpec(method="bs3", dt=0.1, t_end=3.0)
-        tr = integrate(rhs, [0.0], spec, poststep=lambda y: np.minimum(y, 0.5))
-        assert max(seen) == tr["y0"].max() == 0.5
-        assert tr["y0"][-1] == 0.5
+        rows = integrate(rhs, [0.0], spec, poststep=lambda y: np.minimum(y, 0.5))
+        assert max(seen) == rows[:, 0].max() == 0.5
+        assert rows[-1, 0] == 0.5
 
     def test_clamped_components_leave_the_error_norm(self):
         # a second component that the clamp pins at 0 while its rate swings
@@ -190,13 +196,13 @@ class TestBs3:
         a = integrate(alone, [1.0], spec)
         b = integrate(pinned, [1.0, 0.0], spec, poststep=lambda y: y * [1.0, 0.0])
         assert calls_alone == calls_pinned
-        assert np.array_equal(a["y0"], b["y0"])
-        assert np.all(b["y1"] == 0.0)
+        assert np.array_equal(a[:, 0], b[:, 0])
+        assert np.all(b[:, 1] == 0.0)
 
     def test_deterministic_bit_identical(self):
         spec = IntegratorSpec(method="bs3", dt=0.01, t_end=2.0)
         rhs = lambda y, t: np.array([np.sin(t) - 0.3 * y[0]])
-        assert np.array_equal(integrate(rhs, [0.2], spec)["y0"], integrate(rhs, [0.2], spec)["y0"])
+        assert np.array_equal(integrate(rhs, [0.2], spec), integrate(rhs, [0.2], spec))
 
     def test_step_size_underflow_raises(self):
         # y' = 1/(1 - t) has no finite value at t = 1, so no step reaches it

@@ -54,8 +54,8 @@ class TestStopHook:
     def test_one_rhs_call_per_stage(self, method, per_step):
         rhs, calls = counting(lambda y, t: -y)
         spec = IntegratorSpec(method=method, dt=0.1, t_end=10.0)
-        tr = integrate(rhs, [1.0], spec, stop=lambda y, dy: abs(dy[0]) < 0.2)
-        taken = tr.n_samples - 1
+        rows = integrate(rhs, [1.0], spec, stop=lambda y, dy: abs(dy[0]) < 0.2)
+        taken = len(rows) - 1
         assert 0 < taken < spec.n_steps
         assert len(calls) == per_step * taken + 1
 
@@ -74,17 +74,17 @@ class TestStopHook:
             return False
 
         spec = IntegratorSpec(method="euler", dt=0.3, t_end=3.0)
-        tr = integrate(lambda y, t: np.array([1.0 - t]), [0.0], spec,
-                       poststep=lambda y: np.minimum(y, 0.5), stop=stop)
+        rows = integrate(lambda y, t: np.array([1.0 - t]), [0.0], spec,
+                         poststep=lambda y: np.minimum(y, 0.5), stop=stop)
         assert len(seen) == spec.n_steps
         for k, (y, dy) in enumerate(seen, start=1):
-            assert y[0] == tr["y0"][k] <= 0.5
+            assert y[0] == rows[k, 0] <= 0.5
             assert dy[0] == 1.0 - k * spec.dt
 
     def test_trace_ends_with_stopping_step(self):
         spec = IntegratorSpec(method="euler", dt=1.0, t_end=10.0)
-        tr = integrate(lambda y, t: np.ones_like(y), [0.0], spec, stop=lambda y, dy: y[0] >= 3.0)
-        assert list(tr["y0"]) == [0.0, 1.0, 2.0, 3.0]
+        rows = integrate(lambda y, t: np.ones_like(y), [0.0], spec, stop=lambda y, dy: y[0] >= 3.0)
+        assert list(rows[:, 0]) == [0.0, 1.0, 2.0, 3.0]
 
     def test_bs3_stop_lands_on_the_next_grid_point(self):
         # the hook sees each accepted step's end, whose derivative is the
@@ -98,14 +98,14 @@ class TestStopHook:
             return seen[-1][2]
 
         spec = IntegratorSpec(method="bs3", dt=0.5, t_end=100.0)
-        tr = integrate(rhs, [1.0], spec, stop=stop)
+        rows = integrate(rhs, [1.0], spec, stop=stop)
         fired = next(k for k, (_, _, hit) in enumerate(seen) if hit)
         t_fired = seen[fired][0]
         assert t_fired % spec.dt != 0.0  # off the grid, so the landing is tested
-        assert tr.n_samples - 1 == int(np.ceil(t_fired / spec.dt))
+        assert len(rows) - 1 == int(np.ceil(t_fired / spec.dt))
         t_last, y_last, _ = seen[-1]
-        assert t_last == tr.times[-1]
-        assert tr["y0"][-1] == y_last[0]
+        assert t_last == spec.dt * (len(rows) - 1)
+        assert rows[-1, 0] == y_last[0]
         assert all(t_fired < t <= t_last for t, _, _ in seen[fired + 1:])
 
 
