@@ -267,7 +267,8 @@ def run_mc_volatility(params, rng):
     tr = mc_simulate(mc, params["q0"], spec)
     mc = mc_calibrate(mc, params["q0"])
     q_pred = mc_analytic(tr.times, mc)
-    out = Trace(t0=tr.t0, dt=tr.dt, channels={"q": tr["q"], "q_analytic": q_pred, "r": tr["r"]})
+    out = Trace(t0=tr.t0, dt=tr.dt, names=("q", "q_analytic", "r"),
+                values=np.column_stack([tr["q"], q_pred, tr["r"]]))
     tail = tr.times > 5.0 * tau0
     rel = np.abs(q_pred[tail] - tr["q"][tail]) / np.abs(tr["q"][tail])
     metrics = {"tail_max_rel_err": float(rel.max()), "c1": mc.c1}
@@ -351,6 +352,7 @@ def run_network_soc(params, rng):
 
 
 def run_maze(params, rng):
+    """Solve the maze; ``maze_w`` is the relaxation's w0..w{E-1} with their row mean as ``mean_w``."""
     hp = _hp(params)
     maze = MazeSpec.from_text(params["maze"])
     spec = IntegratorSpec(method="bs3", dt=params["dt"], t_end=params["t_end"])
@@ -369,7 +371,10 @@ def run_maze(params, rng):
         "rhs_calls": result.run.rhs_calls,
     }
     text = "\n".join(f"{a} -> {b}" for a, b in result.path) + "\n"
-    return metrics, {"maze_w": result.run.trace}, {"path.txt": text}
+    tr = result.run.trace
+    maze_w = Trace(t0=tr.t0, dt=tr.dt, names=(*tr.names, "mean_w"),
+                   values=np.column_stack([tr.values, tr.values.mean(axis=1)]))
+    return metrics, {"maze_w": maze_w}, {"path.txt": text}
 
 
 def run_crossbar_mvm(params, rng):
@@ -429,7 +434,7 @@ def run_crossbar_train(params, rng, literal=False):
     else:
         raise ValueError(f"unknown training rule '{kind}'")
     data = np.array(rows)
-    tr = Trace(t0=0.0, dt=1.0, channels={f"row{i}": data[:, i] for i in range(data.shape[1])})
+    tr = Trace(t0=0.0, dt=1.0, names=tuple(f"row{i}" for i in range(data.shape[1])), values=data)
     return metrics, {"training": tr}, None
 
 
@@ -467,7 +472,7 @@ def run_rc_demo(params, rng):
     spec = IntegratorSpec(method="rk4", dt=params["dt"], t_end=params["t_end"])
     u = DriveSignal("sine", amplitude=params["amplitude"], frequency=params["frequency"])
     tr = rc_run(res, u, spec)
-    g_mat = np.column_stack([tr[f"g{i}"] for i in range(n_g)])
+    g_mat = tr.values[:, :n_g]
     target = np.asarray(eval_signal(u, tr.times - 0.1), dtype=float)  # delayed copy
     gamma = fit_readout(g_mat, target, ridge=params["ridge"])
     err = float(np.sqrt(np.mean((g_mat @ gamma - target) ** 2)))
@@ -489,8 +494,8 @@ def run_nef_demo(params, rng):
     f_hat = nef_decode(nef_encode(test, pop), dec)
     rms = float(np.sqrt(np.mean((f_hat - test) ** 2)))
     zero_rms = float(np.sqrt(np.mean(test ** 2)))
-    tr = Trace(t0=float(grid[0]), dt=float(grid[1] - grid[0]),
-               channels={"f": test, "f_hat": f_hat})
+    tr = Trace(t0=float(grid[0]), dt=float(grid[1] - grid[0]), names=("f", "f_hat"),
+               values=np.column_stack([test, f_hat]))
     return ({"test_rms": rms, "zero_rms": zero_rms, "n_neurons": pop.n_neurons},
             {"nef_decode": tr}, None)
 
@@ -506,8 +511,7 @@ def run_lca(params, rng):
     spec = IntegratorSpec(method="rk4", dt=params["dt"], t_end=params["t_end"])
     res = lca_simulate(problem, x, spec)
     err = float(np.max(np.abs(res.a - a_true)))
-    energies = [lca_energy(problem, x, hard_threshold(row, problem.lam)) for row in
-                np.column_stack([res.trace[f"u{i}"] for i in range(m)])]
+    energies = [lca_energy(problem, x, hard_threshold(row, problem.lam)) for row in res.trace.values]
     monotone = bool(np.all(np.diff(energies) <= 1e-9 * max(energies[0], 1.0)))
     return ({"recovery_max_err": err, "energy_nonincreasing": monotone,
              "converged": res.converged}, {"lca_u": res.trace}, None)

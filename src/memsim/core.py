@@ -20,10 +20,9 @@ it in place of ``integrate``.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -110,40 +109,46 @@ def eval_signal(s: DriveSignal, t):
 
 @dataclass(frozen=True)
 class Trace:
-    """Uniformly sampled multichannel time series."""
+    """Uniformly sampled multichannel time series, sample k at ``t0 + k * dt``.
+
+    ``values`` is one float (samples x channels) array, column j the channel
+    ``names[j]``; a float64 array is kept as it is, not copied, and
+    ``tr[name]`` is a view of its column.
+    """
 
     t0: float
     dt: float
-    channels: dict[str, np.ndarray]
+    names: tuple[str, ...]
+    values: np.ndarray
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
-        lengths = {name: len(v) for name, v in self.channels.items()}
-        if not lengths:
+        names = tuple(self.names)
+        values = np.asarray(self.values, dtype=float)
+        if not names:
             raise ValueError("trace needs at least one channel")
-        if len(set(lengths.values())) != 1:
-            raise ValueError(f"channel length mismatch: {lengths}")
-        if next(iter(lengths.values())) < 1:
-            raise ValueError("channels need at least one sample")
-        object.__setattr__(
-            self, "channels", {k: np.asarray(v, dtype=float) for k, v in self.channels.items()}
-        )
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate channel names in {names}")
+        if values.ndim != 2 or values.shape[1] != len(names):
+            raise ValueError(f"values must be (samples x {len(names)}), got shape {values.shape}")
+        if values.shape[0] < 1:
+            raise ValueError("trace needs at least one sample")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "values", values)
 
     @property
     def n_samples(self) -> int:
-        return len(next(iter(self.channels.values())))
+        return self.values.shape[0]
 
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_samples)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.channels)
-
     def __getitem__(self, name: str) -> np.ndarray:
-        return self.channels[name]
+        if name not in self.names:
+            raise KeyError(name)
+        return self.values[:, self.names.index(name)]
 
     def to_csv(self, path_or_file) -> None:
         """Write the header ``t,<channel>,...`` and one row per sample.
@@ -164,21 +169,14 @@ class Trace:
                 self._write_csv(fh)
 
     def _write_csv(self, fh) -> None:
-        columns = list(self.channels.values())
-        n_columns = len(columns) + 1
+        n_columns = len(self.names) + 1
         row_fmt = ",".join(["%.17g"] * n_columns) + "\n"
         block_rows = max(1, CSV_BLOCK_VALUES // n_columns)
         fh.write("t," + ",".join(self.names) + "\n")
         for k in range(0, self.n_samples, block_rows):
             k_end = min(k + block_rows, self.n_samples)
-            block = np.column_stack([self.t0 + self.dt * np.arange(k, k_end),
-                                     *(c[k:k_end] for c in columns)])
+            block = np.column_stack([self.t0 + self.dt * np.arange(k, k_end), self.values[k:k_end]])
             fh.write((row_fmt * (k_end - k)) % tuple(block.ravel().tolist()))
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -194,6 +192,8 @@ class IntegratorSpec:
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end!r}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end / dt must be finite, got {self.t_end!r} / {self.dt!r}")
 
     @property
     def n_steps(self) -> int:
@@ -528,7 +528,7 @@ def simulation_cost_metrics(tr: Trace, reference) -> tuple[float, float]:
     differences over all channels); epsilon is the distance between the final
     sample and ``reference``. Needs at least 3 samples.
     """
-    y = np.column_stack([tr[name] for name in tr.names])
+    y = tr.values
     if y.shape[0] < 3:
         raise ValueError("need at least 3 samples for a second finite difference")
     d2 = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / tr.dt**2

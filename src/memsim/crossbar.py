@@ -103,10 +103,6 @@ class Crossbar:
         m[i, j] = hp_resistance(float(np.clip(w, 0.0, 1.0)), self.hp)
         return replace(self, m=m)
 
-    def to_csv_text(self) -> str:
-        lines = [",".join(format(x, ".17g") for x in row) for row in self.m]
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class PulseSpec:

@@ -453,4 +453,4 @@ def simulate_hp_voltage_driven(
     v = np.asarray(eval_signal(drive, spec.dt * np.arange(spec.n_steps + 1)), dtype=float)
     r = hp_resistance(w, p)
     i = v / r
-    return Trace(t0=0.0, dt=spec.dt, channels={"w": w, "v": v, "i": i, "r": r})
+    return Trace(t0=0.0, dt=spec.dt, names=("w", "v", "i", "r"), values=np.column_stack([w, v, i, r]))

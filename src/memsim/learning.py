@@ -234,18 +234,16 @@ def rc_run(r: Reservoir, u_signal, spec: IntegratorSpec) -> Trace:
     y is the dynamics' observable row (``trajectory``) at each sample.
     ``u_signal`` is a DriveSignal or a vectorised callable of time: for one
     time it returns a value or an m-vector, for an array of n times n values
-    or an (n, m) array, m being b's input width.  Channels g0..g{N_g-1}
-    plus u0...
+    or an (n, m) array, m being b's input width.  The trace's columns are
+    the features g0..g{N_g-1}, then the inputs u0..u{m-1}.
     """
     def inputs(t):
         return np.asarray(u_signal(t), dtype=float).reshape(np.shape(t) + (-1,))
 
     feats = r.dynamics.trajectory(r.b, inputs, spec) @ r.h.T
     us = inputs(spec.dt * np.arange(spec.n_steps + 1))
-    channels = {f"g{i}": feats[:, i] for i in range(feats.shape[1])}
-    for i in range(us.shape[1]):
-        channels[f"u{i}"] = us[:, i]
-    return Trace(t0=0.0, dt=spec.dt, channels=channels)
+    names = (*(f"g{i}" for i in range(feats.shape[1])), *(f"u{i}" for i in range(us.shape[1])))
+    return Trace(t0=0.0, dt=spec.dt, names=names, values=np.hstack([feats, us]))
 
 
 @dataclass(frozen=True)
@@ -402,7 +400,8 @@ def lca_simulate(p: LcaProblem, x, spec: IntegratorSpec, tol: float = 1e-8) -> L
 
     b_m is the atom-input overlap phi^m . x (the printed "b = Phi x" only
     types with the transpose action).  Stops early when |du/dt|_inf < tol;
-    otherwise returns the last iterate with converged=False.
+    otherwise returns the last iterate with converged=False.  The trace holds
+    ``integrate``'s rows of u as they are, one column per atom, u0..u{M-1}.
     """
     x = np.asarray(x, dtype=float)
     phi = p.dictionary
@@ -426,5 +425,5 @@ def lca_simulate(p: LcaProblem, x, spec: IntegratorSpec, tol: float = 1e-8) -> L
     rows = integrate(rhs, np.zeros(n_atoms), spec, stop=reached_fixed_point)
     if not converged:
         warnings.warn("LCA did not reach a fixed point within t_end", RuntimeWarning, stacklevel=2)
-    trace = Trace(t0=0.0, dt=spec.dt, channels={f"u{i}": rows[:, i] for i in range(n_atoms)})
+    trace = Trace(t0=0.0, dt=spec.dt, names=tuple(f"u{i}" for i in range(n_atoms)), values=rows)
     return LcaResult(a=hard_threshold(rows[-1], p.lam), trace=trace, converged=converged)

@@ -147,21 +147,6 @@ class CircuitGraph:
     def memristive_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.kind == "memristor")
 
-    def to_edge_list(self) -> str:
-        """Serialize as ``tail head role value`` lines."""
-        return "\n".join(f"{e.tail} {e.head} {e.kind} {e.value:.17g}" for e in self.edges) + "\n"
-
-    @classmethod
-    def from_edge_list(cls, text: str, n_nodes: int | None = None) -> "CircuitGraph":
-        edges = []
-        hi = -1
-        for line in text.strip().splitlines():
-            tail_s, head_s, kind, value_s = line.split()
-            e = Edge(int(tail_s), int(head_s), kind, float(value_s))
-            hi = max(hi, e.tail, e.head)
-            edges.append(e)
-        return cls(n_nodes=hi + 1 if n_nodes is None else n_nodes, edges=tuple(edges))
-
 
 class _PotentialUnionFind:
     """Union-find carrying delta[v] = phi(v) - phi(root(v))."""
@@ -474,12 +459,11 @@ def simulate_network(
     ``spec.method == "bs3"`` (what ``soc_experiment`` and ``solve_maze``
     use) the steps follow the error and ``spec.dt`` is the row spacing.
     Stops once the rate norm falls below ``steady_tol``, at the next row.
-    The trace carries the columns of ``integrate``'s rows as w0..w{E-1} and
-    their mean over each row as ``mean_w``.  Every
-    rate evaluation solves the currents with ``kirchhoff_system(g)``, built
-    once here and returned as ``NetworkRun.system`` for the caller's own
-    solves; ``NetworkRun.steps`` and ``rhs_calls`` count the accepted steps
-    and the rate evaluations.
+    The trace holds ``integrate``'s rows as they are, one column per memory,
+    w0..w{E-1}.  Every rate evaluation solves the currents with
+    ``kirchhoff_system(g)``, built once here and returned as
+    ``NetworkRun.system`` for the caller's own solves; ``NetworkRun.steps``
+    and ``rhs_calls`` count the accepted steps and the rate evaluations.
     """
     system = kirchhoff_system(g)
     n_e = system.n_edges
@@ -503,9 +487,7 @@ def simulate_network(
         return steady
 
     rows = integrate(rate, w, spec, poststep=clamp01, stop=reached_steady)
-    channels = {f"w{i}": rows[:, i] for i in range(n_e)}
-    channels["mean_w"] = rows.mean(axis=1)
-    trace = Trace(t0=0.0, dt=spec.dt, channels=channels)
+    trace = Trace(t0=0.0, dt=spec.dt, names=tuple(f"w{i}" for i in range(n_e)), values=rows)
     return NetworkRun(trace=trace, steady=steady, stop_reason="steady" if steady else "t_end",
                       system=system, steps=steps, rhs_calls=rhs_calls)
 
@@ -661,7 +643,7 @@ def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec | None = 
         spec = IntegratorSpec(method="bs3", dt=0.05, t_end=200.0)
     s = source_vector(g, hp)
     run = simulate_network(g, s, hp, spec, w0=0.5)
-    w_star = np.array([run.trace[f"w{i}"][-1] for i in range(run.system.n_edges)])
+    w_star = run.trace.values[-1]
     a = linearize(s, run.system, hp, w_star)
     lam = np.real(np.linalg.eigvals(a))
     neg = -lam[lam < -1e-10]
@@ -677,7 +659,7 @@ def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec | None = 
     # the same numbers as one RELAXATION_SAMPLES x rates array, without it
     x = np.concatenate([0.5 * np.exp(-np.outer(t[k:k + RELAXATION_BLOCK], rates)).mean(axis=1)
                         for k in range(0, t.size, RELAXATION_BLOCK)])
-    relax = Trace(t0=0.0, dt=t[1] - t[0], channels={"mean_w": x})
+    relax = Trace(t0=0.0, dt=t[1] - t[0], names=("mean_w",), values=x[:, None])
 
     t_lo, t_hi = GAMMA_WINDOW[0] / lam_max, GAMMA_WINDOW[1] / lam_min
     msk = (t > t_lo) & (t <= t_hi) & (x > 0)
@@ -868,7 +850,7 @@ def solve_maze(
     s = source_vector(g, hp)
     run = simulate_network(g, s, hp, spec, w0=0.5)
     n_e = run.system.n_edges
-    w_final = np.array([run.trace[f"w{i}"][-1] for i in range(n_e)])
+    w_final = run.trace.values[-1]
     cur = edge_currents(w_final, s, run.system, hp)
     mem_edges = g.memristive_edges
     inv = {v: k for k, v in index.items()}

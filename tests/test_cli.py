@@ -183,6 +183,16 @@ class TestMazeCommand:
         assert np.allclose(np.diff(times), 0.1)
         assert len(rows) - 1 < 1000  # stopped before t_end
 
+    def test_mean_w_is_the_row_mean_of_the_memories(self, tmp_path):
+        assert main(["maze", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "maze" / "maze_w.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        n_e = len(header) - 2
+        assert header == ["t", *(f"w{i}" for i in range(n_e)), "mean_w"]
+        # %.17g round-trips every double, so the columns read back bit for bit
+        data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(data[:, -1], data[:, 1:-1].mean(axis=1))
+
     def test_maze_file_flag(self, tmp_path):
         mz = tmp_path / "m.txt"
         mz.write_text("S...\n###.\n...E\n")
@@ -366,6 +376,19 @@ class TestIntegratorFlags:
             assert main([name, f"{flag}={value}", "--out", str(tmp_path)]) == 2, name
             err = capsys.readouterr().err
             assert err.startswith(f"error: {field} must be finite"), (name, err)
+            assert not (tmp_path / name).exists(), name
+
+    def test_step_count_overflow_exits_2(self, tmp_path, capsys):
+        # both values are finite, but t_end / dt is not: refused before any
+        # sample is allocated.  A finite but huge step count is not tried here,
+        # since it would allocate its samples.
+        offered = [name for name in PRESETS
+                   if {"dt", "t_end"} <= PRESETS[name][default_preset(name)].keys()]
+        assert {"hh", "lca", "maze"} <= set(offered)
+        for name in offered:
+            assert main([name, "--dt", "1e-10", "--t-end", "1e308", "--out", str(tmp_path)]) == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith("error: t_end / dt must be finite"), (name, err)
             assert not (tmp_path / name).exists(), name
 
     @pytest.mark.parametrize("flag,field", [("--dt", "dt"), ("--t-end", "t_end")])

@@ -431,8 +431,3 @@ class TestCrossbarValidation:
     def test_r_out_positive(self):
         with pytest.raises(ValueError):
             make_xb(np.full((1, 1), 5000.0), r_out=[0.0])
-
-    def test_csv_serialization(self):
-        xb = make_xb(np.full((2, 2), 5000.0))
-        text = xb.to_csv_text()
-        assert len(text.strip().splitlines()) == 2

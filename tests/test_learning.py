@@ -133,7 +133,7 @@ class TestRcRun:
         resolvent = np.linalg.inv(1j * w * np.eye(a.shape[0]) - a)
         q = np.imag((np.exp(1j * w * t)[:, None] * b - e_at_b) @ resolvent.T)
         ref = q @ res.h.T
-        got = np.column_stack([tr[f"g{k}"] for k in range(3)])
+        got = tr.values[:, :3]
         assert np.max(np.abs(got - ref)) < 1e-10 * np.max(np.abs(ref))
 
     def test_defective_matrix_against_jordan_closed_form(self):
@@ -149,7 +149,7 @@ class TestRcRun:
         e1 = np.expm1(lam * t) / lam                             # int_0^t e^{lam s} ds
         e2 = (np.exp(lam * t) * (lam * t - 1.0) + 1.0) / lam**2  # int_0^t s e^{lam s} ds
         want = np.column_stack([b[0, 0] * e1 + b[1, 0] * e2, b[1, 0] * e1])
-        got = np.column_stack([tr["g0"], tr["g1"]])
+        got = tr.values[:, :2]
         assert np.max(np.abs(got - want)) < 1e-13
 
     @pytest.mark.parametrize("t", [0.01, 0.3, 2.0, 7.5])
@@ -350,8 +350,7 @@ class TestLca:
             a_true[[0, 3, 7]] = [1.2, 0.8, 1.0]
             x = q @ a_true
             res = lca_simulate(p, x, IntegratorSpec(method="rk4", dt=0.005, t_end=30.0))
-            us = np.column_stack([res.trace[f"u{i}"] for i in range(10)])
-            energies = np.array([lca_energy(p, x, hard_threshold(u, lam)) for u in us])
+            energies = np.array([lca_energy(p, x, hard_threshold(u, lam)) for u in res.trace.values])
             assert np.all(np.diff(energies) <= 1e-9 * max(energies[0], 1.0))
 
     def test_non_convergence_flagged(self):

@@ -34,7 +34,7 @@ system = kirchhoff_system(g)
 assert system.form == "mesh" and system.operator.shape == (2, 5)
 assert np.all(np.isfinite(linearize(source_vector(g, net_hp), system, net_hp, np.full(5, 0.5))))
 run = simulate_network(g, None, net_hp, IntegratorSpec(method="euler", dt=0.01, t_end=1.0))
-assert np.all(np.isfinite(run.trace["mean_w"]))
+assert np.all(np.isfinite(run.trace.values))
 # the complete graph on five nodes, solved in nodal form (N - 1 = 4 potentials, C = 6 cycles)
 g = CircuitGraph(n_nodes=5, edges=tuple(Edge(a, b, "memristor", float(a == 0)) for a in range(5)
                                         for b in range(a + 1, 5)))
@@ -45,7 +45,7 @@ i = edge_currents(np.full(10, 0.5), s, system, net_hp)
 assert np.max(np.abs(i - edge_currents(np.full(10, 0.5), s, cycle_projector(g), net_hp))) < 1e-14
 assert np.all(np.isfinite(linearize(s, system, net_hp, np.full(10, 0.5))))
 run = simulate_network(g, None, net_hp, IntegratorSpec(method="euler", dt=0.01, t_end=1.0))
-assert run.system.form == "nodal" and np.all(np.isfinite(run.trace["mean_w"]))
+assert run.system.form == "nodal" and np.all(np.isfinite(run.trace.values))
 maze = solve_maze(MazeSpec.from_text("S..\\n.#.\\n..E"), HpParams(alpha=0.1, beta=1.0, r_on=1.0, r_off=100.0),
                   100.0, IntegratorSpec(method="euler", dt=0.005, t_end=5.0))
 assert np.all(np.isfinite(maze.currents))

@@ -146,9 +146,8 @@ class TestBs3Network:
         g, hp = bipolar_network()
         spec = IntegratorSpec(method="bs3", dt=0.1, t_end=100.0)
         run = simulate_network(g, None, hp, spec)
-        w = np.array([run.trace[f"w{i}"] for i in range(len(g.edges))])
+        w = run.trace.values.T
         assert np.all((w >= 0.0) & (w <= 1.0))
-        assert np.array_equal(run.trace["mean_w"], np.ascontiguousarray(w.T).mean(axis=1))
         bounds = set()
         for row in w:
             end = row[-1]
@@ -167,7 +166,7 @@ class TestBs3Network:
         run = simulate_network(g, None, hp, spec, steady_tol=tol)
         assert run.steady and run.stop_reason == "steady"
         assert run.trace.n_samples - 1 < spec.n_steps
-        w_end = np.array([run.trace[f"w{i}"][-1] for i in range(len(g.edges))])
+        w_end = run.trace.values[-1]
         dw = memnet_rhs(w_end, source_vector(g, hp), kirchhoff_system(g), hp)
         assert np.max(np.abs(free_rate(w_end, dw))) < tol
         # three evaluations per attempted step and one for the first
@@ -216,9 +215,7 @@ class TestNetworkMatchesReference:
         assert spec.n_steps == n_steps
         rows, k, fired = network_reference(g, hp, spec, self.tol)
         run = simulate_network(g, None, hp, spec, steady_tol=self.tol)
-        got = np.column_stack([run.trace[f"w{i}"] for i in range(rows.shape[1])])
-        assert np.array_equal(got, rows)
-        assert np.array_equal(run.trace["mean_w"], rows.mean(axis=1))
+        assert np.array_equal(run.trace.values, rows)
         assert run.trace.n_samples - 1 == run.steps == k
         assert run.rhs_calls == {"euler": 1, "rk4": 4}[method] * k + 1
         assert run.steady is fired
@@ -250,8 +247,7 @@ class TestLcaMatchesReference:
         else:
             with pytest.warns(RuntimeWarning, match="fixed point"):
                 res = lca_simulate(p, x, spec, tol=self.tol)
-        got = np.column_stack([res.trace[f"u{i}"] for i in range(rows.shape[1])])
-        assert np.array_equal(got, rows)
+        assert np.array_equal(res.trace.values, rows)
         assert res.trace.n_samples - 1 == k
         assert res.converged is fired
         assert np.array_equal(res.a, hard_threshold(rows[-1], p.lam))
