@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 oracle mismatch (maze), 2 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -551,7 +552,13 @@ RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``memsim`` argument parser, built once per process.
+
+    ``parse_args`` keeps no state in it between calls: each call fills a new
+    namespace from the defaults.
+    """
     parser = argparse.ArgumentParser(prog="memsim", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:

@@ -211,7 +211,14 @@ class HhParams:
 
 
 def clamp01(w):
-    return np.clip(w, 0.0, 1.0)
+    """``w`` clipped to [0, 1], bit for bit as ``np.clip(w, 0.0, 1.0)``.
+
+    Two ufunc calls, without ``np.clip``'s Python-level dispatch on this
+    per-step path.  NaN passes through, and -0.0 stays -0.0 as in
+    ``np.clip``: on a tie ``np.maximum`` returns its second operand, so
+    ``w`` must come second.
+    """
+    return np.minimum(np.maximum(0.0, w), 1.0)
 
 
 def clamped_rate(y, dy, lo, hi):

@@ -188,19 +188,28 @@ class MemristiveReservoir:
 
         The memories start at 1/2 and are stepped by ``integrate`` with
         ``spec.method``, clamped to [0, 1] after every step; the drive at time
-        t is ``b @ inputs(t)``, with ``inputs`` called on one time at a
-        time.  The currents are solved once per row.
+        t is ``b @ inputs(t)``.  While stepping, ``inputs`` is called on one
+        time at a time, only when the stage time differs from the last one:
+        RK4's two midpoint stages share a drive, and so do a step's last stage
+        and the next step's first when their times are equal.  ``inputs`` is
+        then called once more, on the array of row times, and the row
+        currents are solved at those drives by one ``edge_currents`` call on
+        the (rows x E) stack, in stacked blocks.
         """
+        last = [None, None]  # the last stage time and its drive
+
         def drive(t):
-            return b @ inputs(t)
+            if t != last[0]:
+                last[:] = t, b @ inputs(t)
+            return last[1]
 
         rows = integrate(lambda w, t: memnet_rhs(w, drive(t), self._system, self.hp),
                          np.full(self.dim, 0.5), spec, poststep=clamp01)
-        out = np.empty((len(rows), self.out_dim))
-        out[:, :self.dim] = rows
-        for k, t in enumerate((spec.dt * np.arange(len(rows))).tolist()):
-            out[k, self.dim:] = edge_currents(out[k, :self.dim], drive(t), self._system, self.hp)
-        return out
+        # row k's drive as b @ inputs(t_k) computes it, one matrix-vector product
+        # per row; passed inline, so the drives are freed before the stack below
+        currents = edge_currents(rows, (b @ inputs(spec.dt * np.arange(len(rows)))[..., None])[..., 0],
+                                 self._system, self.hp)
+        return np.hstack([rows, currents])
 
 
 @dataclass(frozen=True)

@@ -361,6 +361,26 @@ class TestIntegratorFlags:
         assert manifest["params"]["t_end"] == 0.05
         assert len((tmp_path / "hh" / "hh.csv").read_text().splitlines()) == 1 + 51
 
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_one_process_leave_no_argument_state(self, tmp_path):
+        # each command's artifacts after the other ran in this process equal
+        # those of the command run alone, on a parser built afresh for it
+        mz = tmp_path / "m.txt"
+        mz.write_text("S...\n###.\n...E\n")
+        commands = {"maze": ["maze", "--maze", str(mz)], "crossbar-train": ["crossbar-train", "--literal"]}
+        for argv in commands.values():
+            build_parser.cache_clear()
+            assert main([*argv, "--out", str(tmp_path / "alone")]) == 0
+        for argv in commands.values():
+            assert main([*argv, "--out", str(tmp_path / "both")]) == 0
+        for name in commands:
+            files = sorted(p.name for p in (tmp_path / "alone" / name).iterdir())
+            assert files == sorted(p.name for p in (tmp_path / "both" / name).iterdir())
+            for f in files:
+                assert read(tmp_path / "both" / name / f) == read(tmp_path / "alone" / name / f), f
+
     def test_amoeba_accepts_dt_not_t_end(self, capsys):
         parser = build_parser()
         assert parser.parse_args(["amoeba", "--dt", "0.2"]).dt == 0.2

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from memsim.core import DriveSignal, IntegratorSpec, IntegrationDivergedError, integrate, loop_area
 from memsim.devices import (
@@ -16,6 +17,7 @@ from memsim.devices import (
     WindowSpec,
     beta_from_film,
     chang_model,
+    clamp01,
     clamped_rate,
     hh_model,
     hp_analytic_w,
@@ -170,6 +172,18 @@ class TestClampedRate:
         assert clamped_rate(3.0, -0.5, 3.0, 20.0) == 0.0
         assert clamped_rate(20.0, 0.5, 3.0, 20.0) == 0.0
         assert clamped_rate(7.0, -0.5, 3.0, 20.0) == -0.5
+
+
+class TestClamp01:
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan])),
+                    max_size=40))
+    def test_bit_for_bit_np_clip(self, values):
+        # floats() draws NaN, +-inf, +-0 and values far outside [0, 1]
+        w = np.array(values, dtype=float)
+        assert np.array_equal(clamp01(w).view(np.int64), np.clip(w, 0.0, 1.0).view(np.int64))
+        for x in values[:4]:
+            assert np.array_equal(np.float64(clamp01(x)).view(np.int64),
+                                  np.float64(np.clip(x, 0.0, 1.0)).view(np.int64))
 
 
 class TestHpVolatileAnalytic:

@@ -3,7 +3,7 @@ import pytest
 
 from memsim.core import DriveSignal, IntegratorSpec
 from memsim.devices import HpParams
-from memsim.network import CircuitGraph, Edge
+from memsim.network import CircuitGraph, Edge, edge_currents, kirchhoff_system
 from memsim.learning import (
     _expm,
     LcaProblem,
@@ -204,6 +204,33 @@ class TestRcRun:
             y = tr[f"g{k}"][tail]
             c = y[0] / us[tail][0]
             assert np.max(np.abs(y - c * us[tail])) < 1e-9 * max(1.0, abs(c))
+
+    @pytest.mark.parametrize("method", ["euler", "rk4", "bs3"])
+    def test_memristive_rows_are_the_solved_row_currents(self, method):
+        # a 6-node ring with chords (mesh form) and a two-input drive; rk4
+        # evaluates the drive once per distinct stage time, at most three
+        # times per step (its midpoint stages share one)
+        g = CircuitGraph(n_nodes=6, edges=tuple(
+            [Edge(k, (k + 1) % 6) for k in range(6)] + [Edge(0, 3), Edge(1, 4)]))
+        hp = HpParams(alpha=0.1, beta=1.0, r_on=1.0, r_off=50.0)
+        dyn = MemristiveReservoir(graph=g, hp=hp)
+        b = np.random.default_rng(2).normal(size=(dyn.dim, 2))
+        spec = IntegratorSpec(method=method, dt=0.01, t_end=2.0)
+        scalar_calls = 0
+
+        def inputs(t):
+            nonlocal scalar_calls
+            scalar_calls += np.ndim(t) == 0
+            return np.stack([np.sin(3.0 * np.asarray(t)), np.cos(np.asarray(t))], axis=-1)
+
+        out = dyn.trajectory(b, inputs, spec)
+        assert out.shape == (spec.n_steps + 1, 2 * dyn.dim)
+        if method == "rk4":
+            assert scalar_calls <= 3 * spec.n_steps
+        system = kirchhoff_system(g)
+        for k, t in enumerate((spec.dt * np.arange(len(out))).tolist()):
+            want = edge_currents(out[k, :dyn.dim], b @ inputs(t), system, hp)
+            assert np.max(np.abs(out[k, dyn.dim:] - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_ng_bounded_by_state_dim(self):
         rng = np.random.default_rng(8)

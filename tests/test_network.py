@@ -12,6 +12,7 @@ from memsim.network import (
     DisconnectedGraphError,
     Edge,
     MazeSpec,
+    STACK_BLOCK,
     SingularNetworkError,
     bfs_shortest_path,
     cycle_basis,
@@ -252,6 +253,25 @@ class TestMeshCurrents:
         with pytest.raises(SingularNetworkError):
             edge_currents(np.full(3, 0.5), np.array([np.inf, 0.0, 0.0]), system, hp)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_positive_resistance_raises_in_mesh_form(self):
+        # a ring 0-1-2-3 with a chord 0-2: three node potentials, two cycles.
+        # At chi = 99, w = -1/2 makes one resistance -48.5 r_on, which the mesh
+        # form solved without complaint (rk4 stage states are not clamped)
+        hp = HpParams(alpha=0.0, beta=1.0, r_on=1.0, r_off=100.0)
+        g = CircuitGraph(n_nodes=4, edges=(Edge(0, 1, "memristor", 1.0), Edge(1, 2), Edge(2, 3),
+                                           Edge(3, 0), Edge(0, 2)))
+        system = kirchhoff_system(g)
+        assert system.form == "mesh"
+        s = source_vector(g, hp)
+        assert np.all(np.isfinite(edge_currents(np.full(5, 0.5), s, system, hp)))
+        for w1 in (-0.5, -1.0 / 99.0, np.nan):
+            w = np.array([0.5, w1, 0.5, 0.5, 0.5])
+            with pytest.raises(SingularNetworkError, match="resistance"):
+                edge_currents(w, s, system, hp)
+            with pytest.raises(SingularNetworkError, match="resistance"):
+                edge_currents(np.vstack([np.full(5, 0.5), w]), np.vstack([s, s]), system, hp)
+
     def test_projector_must_be_square(self):
         # a cycle matrix is not taken for the projector
         g = ring(3, emf_on_first=1.0)
@@ -291,6 +311,57 @@ class TestKirchhoffSystem:
         g = CircuitGraph(n_nodes=4, edges=(Edge(0, 1), Edge(1, 0), Edge(2, 3), Edge(3, 2)))
         with pytest.raises(DisconnectedGraphError):
             kirchhoff_system(g)
+
+
+class TestStackedCurrents:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 14), p=st.floats(0.1, 0.7),
+           n_rows=st.integers(1, 40), r_off=st.floats(1.0, 200.0))
+    def test_stack_equals_one_call_per_row(self, seed, n_nodes, p, n_rows, r_off):
+        rng = np.random.default_rng(seed)
+        g = random_connected(rng, n_nodes, p)
+        system = kirchhoff_system(g)
+        event(system.form)
+        hp = HpParams(alpha=0.0, beta=1.0, r_on=1.0, r_off=r_off)
+        w = rng.uniform(0.0, 1.0, (n_rows, system.n_edges))
+        s = rng.normal(size=w.shape)
+        stacked = edge_currents(w, s, system, hp)
+        rows = np.array([edge_currents(wk, sk, system, hp) for wk, sk in zip(w, s)])
+        assert stacked.shape == w.shape
+        assert np.max(np.abs(stacked - rows)) <= 1e-13 * max(np.max(np.abs(rows)), 1e-300)
+
+    @pytest.mark.parametrize("p", [0.15, 0.6])
+    def test_rows_past_one_block(self, p):
+        rng = np.random.default_rng(4)
+        system = kirchhoff_system(random_connected(rng, 10, p))
+        w = rng.uniform(0.0, 1.0, (2 * STACK_BLOCK + 3, system.n_edges))
+        s = rng.normal(size=w.shape)
+        stacked = edge_currents(w, s, system, HP)
+        for k in (0, STACK_BLOCK - 1, STACK_BLOCK, 2 * STACK_BLOCK, len(w) - 1):
+            want = edge_currents(w[k], s[k], system, HP)
+            assert np.max(np.abs(stacked[k] - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", [0.15, 0.6])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_one_non_finite_source_row_raises(self, p, bad):
+        rng = np.random.default_rng(5)
+        system = kirchhoff_system(random_connected(rng, 10, p))
+        w = np.full((STACK_BLOCK + 7, system.n_edges), 0.5)
+        s = rng.normal(size=w.shape)
+        s[STACK_BLOCK + 2, 1] = bad
+        with pytest.raises(SingularNetworkError, match="source"):
+            edge_currents(w, s, system, HP)
+
+    def test_source_stack_must_match_the_states(self):
+        rng = np.random.default_rng(6)
+        g = random_connected(rng, 8, 0.3)
+        system = kirchhoff_system(g)
+        w = np.full((3, system.n_edges), 0.5)
+        with pytest.raises(ValueError, match="shape"):
+            edge_currents(w, np.ones(system.n_edges), system, HP)
+        with pytest.raises(ValueError, match="one state"):
+            edge_currents(w, np.ones(w.shape), cycle_projector(g), HP)
 
 
 class TestSourceReduction:
