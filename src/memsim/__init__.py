@@ -15,7 +15,6 @@ from .core import (
     integrate,
     loop_area,
     power_spectrum_exponent,
-    simulation_cost_metrics,
 )
 from .devices import (
     ChangParams,
@@ -33,7 +32,6 @@ from .devices import (
     hp_analytic_w,
     hp_resistance,
     hp_rhs,
-    hp_volatile_analytic,
     joglekar_window,
     pickett_rhs,
     simulate_hp_voltage_driven,
@@ -62,7 +60,6 @@ from .network import (
     kirchhoff_system,
     linearize,
     maze_to_circuit,
-    mean_relaxation,
     memnet_rhs,
     random_network,
     simulate_network,
@@ -92,7 +89,6 @@ from .learning import (
     MemristiveReservoir,
     NefPopulation,
     Reservoir,
-    elm_features,
     fit_readout,
     hard_threshold,
     lca_simulate,

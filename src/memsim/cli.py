@@ -400,6 +400,8 @@ def run_crossbar_train(params, rng, literal=False):
     eta = params["eta"]
     n_in = int(params["n_inputs"])
     n_out = int(params["n_outputs"])
+    if params["n_samples"] < 1 or n_out < 1:
+        raise ValueError(f"n_samples and n_outputs must be >= 1, got {params['n_samples']} and {n_out}")
     cov = np.diag(params["cov_diag"])
     xs = rng.multivariate_normal(np.zeros(n_in), cov, size=int(params["n_samples"]))
     metrics = {}
@@ -440,8 +442,7 @@ def run_crossbar_train(params, rng, literal=False):
 
 
 def run_stdp(params, rng):
-    hp = HpParams(alpha=params["alpha"], beta=params["beta"],
-                  r_on=params["r_on"], r_off=params["r_off"])
+    hp = _hp(params)
     kernel = StdpKernel(a_plus=params["a_plus"], a_minus=params["a_minus"],
                         tau_plus=params["tau_plus"], tau_minus=params["tau_minus"])
     lines = ["delta_t,kernel,v_write,duration,round_trip_err"]
@@ -481,6 +482,8 @@ def run_rc_demo(params, rng):
 
 
 def run_nef_demo(params, rng):
+    if params["n_grid"] < 2:
+        raise ValueError(f"n_grid must be >= 2, got {params['n_grid']}")
     grid = np.linspace(params["x_min"], params["x_max"], int(params["n_grid"]))
     pop = random_nef_population(rng, int(params["n_neurons"]), grid,
                                 tau0=params["tau0"], tau_rc=params["tau_rc"], i_f=params["i_f"])
@@ -519,6 +522,8 @@ def run_lca(params, rng):
 
 
 def run_energy(params, rng):
+    if not params["n_values"]:
+        raise ValueError("n_values must hold at least one array size")
     lines = ["n,e_gate,e_dig,e_memr"]
     vals = []
     for n in params["n_values"]:

@@ -39,7 +39,6 @@ __all__ = [
     "loop_area",
     "power_spectrum_exponent",
     "loglog_slope",
-    "simulation_cost_metrics",
 ]
 
 _SIGNAL_KINDS = ("dc", "sine", "square", "pulse_train")
@@ -150,8 +149,8 @@ class Trace:
             raise KeyError(name)
         return self.values[:, self.names.index(name)]
 
-    def to_csv(self, path_or_file) -> None:
-        """Write the header ``t,<channel>,...`` and one row per sample.
+    def to_csv(self, path) -> None:
+        """Write the header ``t,<channel>,...`` and one row per sample to ``path``.
 
         Every cell is ``"%.17g" % value`` (plain decimal point, locale-free,
         ``nan``/``inf``/``-0`` as Python prints them), which reads back as the
@@ -159,24 +158,16 @@ class Trace:
         ``max(1, CSV_BLOCK_VALUES // n_columns)``, each formatted by one ``%``
         call and written at once; a block's times are computed for that block
         alone, so no copy of the whole trace, nor of its time column, is made.
-        ``path_or_file`` is a path, opened with ``open(path, "w")``, or a text
-        file object, which is written to.
         """
-        if hasattr(path_or_file, "write"):
-            self._write_csv(path_or_file)
-        else:
-            with open(path_or_file, "w") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh) -> None:
         n_columns = len(self.names) + 1
         row_fmt = ",".join(["%.17g"] * n_columns) + "\n"
         block_rows = max(1, CSV_BLOCK_VALUES // n_columns)
-        fh.write("t," + ",".join(self.names) + "\n")
-        for k in range(0, self.n_samples, block_rows):
-            k_end = min(k + block_rows, self.n_samples)
-            block = np.column_stack([self.t0 + self.dt * np.arange(k, k_end), self.values[k:k_end]])
-            fh.write((row_fmt * (k_end - k)) % tuple(block.ravel().tolist()))
+        with open(path, "w") as fh:
+            fh.write("t," + ",".join(self.names) + "\n")
+            for k in range(0, self.n_samples, block_rows):
+                k_end = min(k + block_rows, self.n_samples)
+                block = np.column_stack([self.t0 + self.dt * np.arange(k, k_end), self.values[k:k_end]])
+                fh.write((row_fmt * (k_end - k)) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -519,20 +510,3 @@ def power_spectrum_exponent(tr: Trace, channel: str, fit_band: tuple[float, floa
         raise ValueError("fit band is empty after discretization")
     slope, _ = loglog_slope(f[mask], p[mask])
     return slope
-
-
-def simulation_cost_metrics(tr: Trace, reference) -> tuple[float, float]:
-    """Digital-simulation cost metrics of a trajectory.
-
-    R is the max Euclidean norm of the second time derivative (central finite
-    differences over all channels); epsilon is the distance between the final
-    sample and ``reference``. Needs at least 3 samples.
-    """
-    y = tr.values
-    if y.shape[0] < 3:
-        raise ValueError("need at least 3 samples for a second finite difference")
-    d2 = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / tr.dt**2
-    r = float(np.max(np.linalg.norm(d2, axis=1)))
-    ref = np.asarray(reference, dtype=float)
-    eps = float(np.linalg.norm(y[-1] - ref))
-    return r, eps

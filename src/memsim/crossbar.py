@@ -43,7 +43,6 @@ __all__ = [
     "write_constants",
     "write_pulse",
     "read_bit",
-    "read_disturbance",
     "program_matrix",
     "apply_update",
     "stdp_program",
@@ -206,10 +205,7 @@ def nodal_oracle(x: Crossbar, xi) -> np.ndarray:
         for j in range(n_cols):
             a[i, i] += 1.0 / x.m[i, j]
             b[i] += xi[j] / x.m[i, j]
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-        raise ValueError(f"singular node system: {exc}") from exc
+    return np.linalg.solve(a, b)  # positive diagonal: never singular
 
 
 def write_constants(hp: HpParams) -> float:
@@ -272,14 +268,6 @@ def write_pulse(x: Crossbar, i: int, j: int, p: PulseSpec) -> Crossbar:
     _require_nonvolatile(x.hp)
     w_new = _write_cell(float(x.w[i, j]), p.v_write, x.hp, p.duration)
     return x.with_cell_w(i, j, w_new)
-
-
-def read_disturbance(x: Crossbar, i: int, j: int, p: PulseSpec) -> float:
-    """|delta w| the cell suffers from one read pulse (v_read for the duration)."""
-    _require_nonvolatile(x.hp)
-    w0 = float(x.w[i, j])
-    w1 = _write_cell(w0, p.v_read, x.hp, p.duration)
-    return abs(w1 - w0)
 
 
 READ_GUARD = 0.05  # read_bit's relative guard band around the midpoint resistance

@@ -31,7 +31,6 @@ __all__ = [
     "joglekar_window",
     "hp_flux_coordinate",
     "hp_analytic_w",
-    "hp_volatile_analytic",
     "beta_from_film",
     "pickett_rhs",
     "chang_model",
@@ -300,27 +299,6 @@ def hp_analytic_w(v_integral, w0: float, p: HpParams):
         )
     out = np.clip(w, 0.0, 1.0)
     return out if out.ndim else float(out)
-
-
-VOLATILE_QUAD_STEPS = 2048  # hp_volatile_analytic's quadrature steps
-
-
-def hp_volatile_analytic(i_signal, w0: float, p: HpParams, t: float) -> float:
-    """Unclamped window-free solution of dw/dt = alpha*w - polarity*I(t)/beta at time ``t``.
-
-        w(t) = e^{alpha t} (w0 - polarity * (1/beta) * int_0^t e^{-alpha tau} I(tau) dtau)
-
-    computed by ``linear_response`` (rate -alpha) over ``VOLATILE_QUAD_STEPS`` steps of the
-    driving current.  ``i_signal`` is a DriveSignal interpreted as a current,
-    or any vectorised callable of time.  With I = 0 this is the bare decay
-    law w0 * e^{alpha t}.
-    """
-    if t == 0:
-        return float(w0)
-    spec = IntegratorSpec(dt=t / VOLATILE_QUAD_STEPS, t_end=t)
-    w = linear_response(lambda tt: -p.polarity * np.asarray(i_signal(tt), dtype=float) / p.beta,
-                        -p.alpha, spec, y0=w0)
-    return float(w[-1])
 
 
 def beta_from_film(f: FilmParams) -> float:

@@ -1,6 +1,7 @@
 """Analog-learning readouts and algorithms.
 
-Fixed-dictionary regression (ELM style), reservoir pipelines over linear or
+A ridge-regularized linear readout (``fit_readout``, fitted to a feature
+matrix G that each caller builds), reservoir pipelines over linear or
 memristive dynamics (the linear one solved by its matrix exponential, the
 memristive one stepped by ``core.integrate``), tuning-curve encode/decode
 with the leaky integrate-and-fire rate function, and sparse coding by the
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .devices import HpParams, clamp01
 from .network import CircuitGraph, edge_currents, kirchhoff_system, memnet_rhs
 
 __all__ = [
-    "elm_features",
     "fit_readout",
     "LinearReservoir",
     "MemristiveReservoir",
@@ -39,20 +39,6 @@ __all__ = [
     "lca_energy",
     "lca_simulate",
 ]
-
-
-def elm_features(x_samples, g_dictionary: Sequence[Callable]) -> np.ndarray:
-    """Design matrix G[i, j] = g_j(x(i)) over a fixed function dictionary."""
-    x = np.asarray(x_samples, dtype=float)
-    n = x.shape[0]
-    out = np.empty((n, len(g_dictionary)))
-    for j, g in enumerate(g_dictionary):
-        for i in range(n):
-            out[i, j] = g(x[i])
-    if not np.all(np.isfinite(out)):
-        bad = np.argwhere(~np.isfinite(out))[0]
-        raise ValueError(f"non-finite feature value at sample {bad[0]}, function {bad[1]}")
-    return out
 
 
 def fit_readout(g_matrix, y, ridge: float = 0.0) -> np.ndarray:

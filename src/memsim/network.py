@@ -82,7 +82,6 @@ __all__ = [
     "NetworkRun",
     "simulate_network",
     "linearize",
-    "mean_relaxation",
     "SocResult",
     "random_network",
     "soc_experiment",
@@ -351,15 +350,23 @@ class KirchhoffSystem:
 
         ``w`` is one state (E) with ``s`` an E vector or an E x k matrix, or a
         (rows x E) stack with ``s`` of the same shape, row k solved at
-        ``w[k]`` and ``s[k]``, ``STACK_BLOCK`` rows per stacked solve.
+        ``w[k]`` and ``s[k]``, ``STACK_BLOCK`` rows per stacked solve.  Any
+        other shape, a width other than E among them, raises ValueError
+        before any arithmetic.
         """
+        n_e = self.n_edges
+        if w.ndim == 1:
+            fits = w.shape[0] == n_e and s.ndim in (1, 2) and s.shape[0] == n_e
+        else:
+            fits = w.ndim == 2 and w.shape[1] == n_e and s.shape == w.shape
+        if not fits:
+            raise ValueError(f"w must be one state (E) with sources s of shape (E) or (E x k), or a "
+                             f"(rows x E) stack with s of its shape, E = {n_e}; "
+                             f"got w {w.shape} and s {s.shape}")
         if not np.isfinite(s).all():
             raise SingularNetworkError("network current system is singular: a source is not finite")
         if w.ndim == 1:
             return self._solve(w, s, chi)
-        if w.ndim != 2 or s.shape != w.shape:
-            raise ValueError(f"a stack of states w must be (rows x E) with sources s of its shape; "
-                             f"got w {w.shape} and s {s.shape}")
         i = np.empty_like(w)
         for lo in range(0, len(w), STACK_BLOCK):
             block = slice(lo, lo + STACK_BLOCK)
@@ -430,13 +437,9 @@ def edge_currents(w: np.ndarray, s: np.ndarray, system, hp: HpParams) -> np.ndar
 
     - a ``KirchhoffSystem`` (``kirchhoff_system``), which ``simulate_network``,
       ``linearize`` from ``soc_experiment``, ``solve_maze`` and
-      ``learning.MemristiveReservoir`` pass.  It is in nodal form when the
-      graph has fewer node potentials than cycles (N - 1 < C):
-      i = G S - G A^T L^{-1} A G S with L = A G A^T and G = diag(1 / (1 + chi w));
-      in mesh form otherwise: i = B^T K^{-1} B S with K = B G^{-1} B^T, so a
-      graph without cycles (C = 0) carries no current.  The two agree by
-      B^T (B G^{-1} B^T)^{-1} B = G - G A^T (A G A^T)^{-1} A G (see the
-      module docstring);
+      ``learning.MemristiveReservoir`` pass: i = G S - G A^T L^{-1} A G S in
+      nodal form and i = B^T K^{-1} B S in mesh form (the module docstring
+      derives both), so a graph without cycles (C = 0) carries no current;
     - the E x E projector Omega (``cycle_projector``), the paper's form kept
       as the reference: i = (I + chi Omega W)^{-1} Omega S.
 
@@ -444,7 +447,9 @@ def edge_currents(w: np.ndarray, s: np.ndarray, system, hp: HpParams) -> np.ndar
     by column k of ``s``.  With a ``KirchhoffSystem``, ``w`` may also be a
     (rows x E) stack of states with ``s`` a stack of the same shape: row k
     of the result is then solved at ``w[k]`` and ``s[k]``, as one call per
-    row would solve it, in stacked blocks of ``STACK_BLOCK`` rows.
+    row would solve it, in stacked blocks of ``STACK_BLOCK`` rows.  Any
+    other shape of ``w`` or ``s``, a width other than E among them, raises
+    ValueError.
 
     Raises SingularNetworkError when the system is singular; for a
     ``KirchhoffSystem`` also when a source is not finite (before any
@@ -562,41 +567,6 @@ def linearize(s, system, hp: HpParams, w_star) -> np.ndarray:
     return a
 
 
-def mean_relaxation(a: np.ndarray, w0, ts, branch: str | None = None) -> np.ndarray:
-    """Average relaxation <w(t)> = (1/N) tr(e^{At} W0), W0 = diag(w0).
-
-    Evaluated through the eigendecomposition of A; ``branch`` restricts the
-    modal sum to the "negative" or "positive" part of the spectrum (the
-    branch decomposition used in the relaxation analysis).
-
-    Raises
-    ------
-    SimulationError
-        if the eigendecomposition fails (e.g. on non-finite entries).
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    w0 = np.asarray(w0, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    try:
-        lam, q = np.linalg.eig(a)
-        d = np.diagonal(np.linalg.solve(q, np.diag(w0) @ q))
-    except np.linalg.LinAlgError as exc:
-        raise SimulationError(f"eigendecomposition of the linearization failed: {exc}") from exc
-    if branch == "negative":
-        keep = lam.real < -1e-12
-    elif branch == "positive":
-        keep = lam.real > 1e-12
-    elif branch is None:
-        keep = np.ones_like(lam, dtype=bool)
-    else:
-        raise ValueError("branch must be None, 'negative' or 'positive'")
-    lam = lam[keep]
-    d = d[keep]
-    out = np.array([np.sum(np.exp(lam * t) * d) for t in ts])
-    return out.real / n
-
-
 @dataclass(frozen=True)
 class SocResult:
     gamma: float
@@ -623,7 +593,13 @@ def random_network(
     n_sources: int = 5,
     source_volts: float = 1.0,
 ) -> CircuitGraph:
-    """Connected Erdos-Renyi memristive network with random series sources."""
+    """Connected Erdos-Renyi memristive network with random series sources.
+
+    Raises ValueError for fewer than two nodes, or when ``MAX_GRAPH_DRAWS``
+    draws give no connected graph with at least ``n_nodes`` edges.
+    """
+    if n_nodes < 2:
+        raise ValueError(f"a random network needs at least 2 nodes, got {n_nodes}")
     for _ in range(MAX_GRAPH_DRAWS):
         mask = rng.random((n_nodes, n_nodes)) < edge_prob
         pairs = [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes) if mask[i, j]]
@@ -641,7 +617,8 @@ def random_network(
             return g
         except DisconnectedGraphError:
             continue
-    raise RuntimeError("failed to sample a connected graph")
+    raise ValueError(f"no connected graph with at least {n_nodes} edges in {MAX_GRAPH_DRAWS} draws "
+                     f"at edge_prob {edge_prob}")
 
 
 def _log_resampled_r2(t: np.ndarray, x: np.ndarray, t_lo: float, t_hi: float, n: int = 128) -> float:
@@ -658,10 +635,11 @@ RATE_DECADES = 2.5
 RELAXATION_SAMPLES = 32768
 RELAXATION_BLOCK = 1024  # rows of the relaxation evaluated at once
 GAMMA_WINDOW = (2.0, 0.5)
+CORNER_WINDOW = (0.3, 5.0)  # the gamma window when GAMMA_WINDOW holds fewer than 8 rows
 FIT_BAND = (10.0, 30.0)
 
 
-def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec | None = None) -> SocResult:
+def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec) -> SocResult:
     """Relaxation-exponent and spectrum-slope analysis of a driven network.
 
     Procedure: relax the network to its DC configuration, linearize there,
@@ -677,16 +655,14 @@ def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec | None = 
       the Nyquist frequency of the relaxation grid.
 
     The power-law gate is the R^2 of the log-resampled time-domain fit
-    (falling back to the corner window when the rate spread leaves no
+    (falling back to ``CORNER_WINDOW`` when the rate spread leaves no
     scaling regime, e.g. a single device): fits with R^2 < 0.9 report
     ``power_law=False``.
 
-    The relaxation is ``simulate_network`` under ``spec``, by default bs3
-    with rows every 0.05 up to t = 200; the linearization point is its last
+    The relaxation is ``simulate_network`` under ``spec`` (the CLI passes
+    the soc-n100 preset's bs3 spec); the linearization point is its last
     row, a stepped state.  ``steps`` and ``rhs_calls`` report its work.
     """
-    if spec is None:
-        spec = IntegratorSpec(method="bs3", dt=0.05, t_end=200.0)
     s = source_vector(g, hp)
     run = simulate_network(g, s, hp, spec, w0=0.5)
     w_star = run.trace.values[-1]
@@ -708,14 +684,12 @@ def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec | None = 
     relax = Trace(t0=0.0, dt=t[1] - t[0], names=("mean_w",), values=x[:, None])
 
     t_lo, t_hi = GAMMA_WINDOW[0] / lam_max, GAMMA_WINDOW[1] / lam_min
-    msk = (t > t_lo) & (t <= t_hi) & (x > 0)
-    if np.count_nonzero(msk) >= 8:
-        gamma, _ = loglog_slope(t[msk], x[msk])
-        fit_r2 = _log_resampled_r2(t, x, t_lo, t_hi)
-    else:
+    if np.count_nonzero((t > t_lo) & (t <= t_hi) & (x > 0)) < 8:
         # no scaling regime (single relaxation scale): fit around the corner
-        gamma, _ = loglog_slope(*_corner_window(t, x, lam_max, lam_min))
-        fit_r2 = _log_resampled_r2(t, x, 0.3 / lam_max, 5.0 / lam_min)
+        t_lo, t_hi = CORNER_WINDOW[0] / lam_max, CORNER_WINDOW[1] / lam_min
+    msk = (t > t_lo) & (t <= t_hi) & (x > 0)
+    gamma, _ = loglog_slope(t[msk], x[msk])
+    fit_r2 = _log_resampled_r2(t, x, t_lo, t_hi)
     nyquist = 0.5 / relax.dt
     f_hi = min(lam_max * FIT_BAND[1] / (2.0 * np.pi), 0.999 * nyquist)
     slope = power_spectrum_exponent(relax, "mean_w", (lam_max / (2.0 * np.pi) / FIT_BAND[0], f_hi))
@@ -733,11 +707,6 @@ def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec | None = 
         steps=run.steps,
         rhs_calls=run.rhs_calls,
     )
-
-
-def _corner_window(t, x, lam_max, lam_min):
-    msk = (t > 0.3 / lam_max) & (t <= 5.0 / lam_min) & (x > 0)
-    return t[msk], x[msk]
 
 
 @dataclass(frozen=True)
@@ -874,7 +843,7 @@ def solve_maze(
     m: MazeSpec,
     hp: HpParams,
     v_dc: float,
-    spec: IntegratorSpec | None = None,
+    spec: IntegratorSpec,
 ) -> MazeResult:
     """Self-organize the maze circuit under DC and read the route off its currents.
 
@@ -886,12 +855,10 @@ def solve_maze(
     when nothing flows off the path).  Raises AmbiguousPathError when a cell
     has no forward current (v_dc <= 0 drives none) or the walk takes more
     steps than there are edges.  The relaxation is ``simulate_network`` under
-    ``spec``, by default bs3 with rows every 0.1 up to t = 100, ending at the
+    ``spec`` (the CLI passes the maze-demo preset's bs3 spec), ending at the
     row after the steady stop; the currents are solved at that last row, a
     stepped state.
     """
-    if spec is None:
-        spec = IntegratorSpec(method="bs3", dt=0.1, t_end=100.0)
     g, index = maze_to_circuit(m, hp, v_dc)
     s = source_vector(g, hp)
     run = simulate_network(g, s, hp, spec, w0=0.5)

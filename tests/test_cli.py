@@ -129,6 +129,20 @@ class TestConfigTypes:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize("experiment,params", [
+        ("energy", {"n_values": []}),
+        ("crossbar-train", {"n_samples": 0}),
+        ("crossbar-train", {"n_outputs": 0}),
+        ("nef-demo", {"n_grid": 1}),
+        ("network-soc", {"n_nodes": 1}),
+    ])
+    def test_degenerate_sizes_exit_2(self, tmp_path, capsys, experiment, params):
+        # each of these ended in a traceback (exit 1, the maze oracle's code)
+        assert self.run(tmp_path, experiment, params) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / experiment).exists()
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

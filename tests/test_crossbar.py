@@ -17,7 +17,6 @@ from memsim.crossbar import (
     nodal_oracle,
     program_matrix,
     read_bit,
-    read_disturbance,
     read_mvm,
     stdp_program,
     switching_time,
@@ -213,8 +212,8 @@ class TestReadBit:
 
     def test_read_disturbance_bounded(self):
         xb = make_xb(np.full((1, 1), HP.r_off))
-        eps = read_disturbance(xb, 0, 0, self.pulse)
-        assert eps < 1e-3
+        _, after = read_bit(xb, 0, 0, self.pulse)
+        assert 0.0 < abs(after.w[0, 0] - xb.w[0, 0]) < 1e-3
 
     def test_hundred_reads_stable(self):
         xb = make_xb(np.full((1, 1), 50000.0))
@@ -249,10 +248,6 @@ class TestVolatileDeviceRejected:
     def test_read_bit(self):
         with pytest.raises(ValueError, match="alpha=0"):
             read_bit(make_xb([[HP.r_off]], hp=self.HPV), 0, 0, self.PULSE)
-
-    def test_read_disturbance(self):
-        with pytest.raises(ValueError, match="alpha=0"):
-            read_disturbance(make_xb([[HP.r_off]], hp=self.HPV), 0, 0, self.PULSE)
 
 
 class TestProgramMatrix:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from memsim.core import DriveSignal, IntegratorSpec, IntegrationDivergedError, integrate, loop_area
+from memsim.core import (DriveSignal, IntegratorSpec, IntegrationDivergedError, integrate, linear_response,
+                         loop_area)
 from memsim.devices import (
     ChangParams,
     FilmParams,
@@ -24,7 +25,6 @@ from memsim.devices import (
     hp_flux_coordinate,
     hp_resistance,
     hp_rhs,
-    hp_volatile_analytic,
     joglekar_window,
     pickett_rhs,
     simulate_hp_voltage_driven,
@@ -184,6 +184,27 @@ class TestClamp01:
         for x in values[:4]:
             assert np.array_equal(np.float64(clamp01(x)).view(np.int64),
                                   np.float64(np.clip(x, 0.0, 1.0)).view(np.int64))
+
+
+VOLATILE_QUAD_STEPS = 2048  # hp_volatile_analytic's quadrature steps
+
+
+def hp_volatile_analytic(i_signal, w0: float, p: HpParams, t: float) -> float:
+    """Unclamped window-free solution of dw/dt = alpha*w - polarity*I(t)/beta at time ``t``.
+
+        w(t) = e^{alpha t} (w0 - polarity * (1/beta) * int_0^t e^{-alpha tau} I(tau) dtau)
+
+    computed by ``linear_response`` (rate -alpha) over ``VOLATILE_QUAD_STEPS`` steps of the
+    driving current.  ``i_signal`` is a DriveSignal interpreted as a current,
+    or any vectorised callable of time.  With I = 0 this is the bare decay
+    law w0 * e^{alpha t}.
+    """
+    if t == 0:
+        return float(w0)
+    spec = IntegratorSpec(dt=t / VOLATILE_QUAD_STEPS, t_end=t)
+    w = linear_response(lambda tt: -p.polarity * np.asarray(i_signal(tt), dtype=float) / p.beta,
+                        -p.alpha, spec, y0=w0)
+    return float(w[-1])
 
 
 class TestHpVolatileAnalytic:

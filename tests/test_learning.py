@@ -11,7 +11,6 @@ from memsim.learning import (
     MemristiveReservoir,
     NefPopulation,
     Reservoir,
-    elm_features,
     fit_readout,
     hard_threshold,
     lca_energy,
@@ -23,36 +22,6 @@ from memsim.learning import (
     random_nef_population,
     rc_run,
 )
-
-
-class TestElmFeatures:
-    def test_identity_dictionary(self):
-        x = np.array([1.0, 2.0, 3.0])
-        g = elm_features(x, [lambda v: v])
-        assert np.array_equal(g[:, 0], x)
-
-    def test_two_by_two_elementwise(self):
-        x = np.array([1.0, 2.0])
-        g = elm_features(x, [lambda v: v**2, lambda v: v + 1])
-        assert np.array_equal(g, [[1.0, 2.0], [4.0, 3.0]])
-
-    def test_monte_carlo_glm_average(self):
-        # sampled-prior dictionary: mean over many eta draws approximates the
-        # integral; for a sigmoid link and centered normal eta the integral is
-        # exactly 1/2 by symmetry
-        rng = np.random.default_rng(0)
-        d, n_g = 3, 4000
-        x = rng.normal(size=(5, d))
-        etas = rng.normal(size=(n_g, d))
-        sigmoid = lambda z: 1.0 / (1.0 + np.exp(-z))
-        funcs = [lambda v, e=e: sigmoid(v @ e) for e in etas]
-        g = elm_features(x, funcs)
-        assert np.max(np.abs(g.mean(axis=1) - 0.5)) < 0.02
-
-    def test_non_finite_rejected(self):
-        with np.errstate(divide="ignore"):
-            with pytest.raises(ValueError, match="non-finite"):
-                elm_features(np.array([0.0, 1.0]), [lambda v: 1.0 / v])
 
 
 class TestFitReadout:

@@ -4,7 +4,7 @@ from hypothesis import event, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.special import exp1
 
-from memsim.core import IntegratorSpec, SimulationError
+from memsim.core import IntegratorSpec
 from memsim.devices import HpParams, hp_resistance, hp_rhs
 from memsim.network import (
     AmbiguousPathError,
@@ -12,6 +12,7 @@ from memsim.network import (
     DisconnectedGraphError,
     Edge,
     MazeSpec,
+    RELAXATION_SAMPLES,
     STACK_BLOCK,
     SingularNetworkError,
     bfs_shortest_path,
@@ -21,7 +22,6 @@ from memsim.network import (
     kirchhoff_system,
     linearize,
     maze_to_circuit,
-    mean_relaxation,
     memnet_rhs,
     random_network,
     reduce_sources,
@@ -31,8 +31,12 @@ from memsim.network import (
     solve_maze,
     source_vector,
 )
+from memsim.presets import MAZE, NETWORK_SOC
 
 HP = HpParams(alpha=0.0, beta=1.0, r_on=1.0, r_off=100.0)
+# the step policies of the soc-n100 and maze-demo presets, as the CLI passes them
+SOC_SPEC = IntegratorSpec(method="bs3", dt=NETWORK_SOC["dt"], t_end=NETWORK_SOC["t_end"])
+MAZE_SPEC = IntegratorSpec(method="bs3", dt=MAZE["dt"], t_end=MAZE["t_end"])
 
 # 9 x 19, one shortest route: the size of the largest benchmark mazes
 LONG_MAZE = ("S..#...#.....#...#.\n.#.###.#.#.#.#.#.#.\n.#.......#.#.#.#...\n.#.#.#.###.#.#.###.\n"
@@ -364,6 +368,45 @@ class TestStackedCurrents:
             edge_currents(w, np.ones(w.shape), cycle_projector(g), HP)
 
 
+class TestCurrentsWidth:
+    # a ring 0-1-2-3 with a chord 0-2 takes mesh form (C = 2 < N - 1 = 3); the
+    # complete graph on five nodes takes nodal form (N - 1 = 4 < C = 6)
+    GRAPHS = {
+        "mesh": CircuitGraph(n_nodes=4, edges=(Edge(0, 1, "memristor", 1.0), Edge(1, 2), Edge(2, 3),
+                                               Edge(3, 0), Edge(0, 2))),
+        "nodal": CircuitGraph(n_nodes=5, edges=tuple(Edge(a, b, "memristor", float(a == 0))
+                                                     for a in range(5) for b in range(a + 1, 5))),
+    }
+
+    @pytest.mark.parametrize("form", ["mesh", "nodal"])
+    def test_wrong_width_refused(self, form):
+        g = self.GRAPHS[form]
+        system = kirchhoff_system(g)
+        assert system.form == form
+        s = source_vector(g, HP)
+        n_e = s.size
+        w = np.full(n_e, 0.5)
+        longer = np.r_[w, 0.7, 0.3]
+        cases = [
+            (longer, s),                                        # 1-D w too long
+            (w[:-1], s),                                        # 1-D w too short
+            (w, np.r_[s, 1.0]),                                 # 1-D s too long
+            (longer, np.eye(n_e)),                              # E x k sources, w too long
+            (w, np.eye(n_e + 1)),                               # E x k sources too tall
+            (np.vstack([longer, longer]), np.vstack([longer, longer])),  # stack too wide
+            (np.vstack([w, w]), np.vstack([longer, longer])),   # source stack too wide
+            (longer, np.full(n_e, np.nan)),                     # refused before the source check
+        ]
+        for w_bad, s_bad in cases:
+            with pytest.raises(ValueError, match=f"E = {n_e}"):
+                edge_currents(w_bad, s_bad, system, HP)
+        # the right widths still solve, in each calling form
+        one = edge_currents(w, s, system, HP)
+        assert np.array_equal(edge_currents(w, s[:, None], system, HP)[:, 0], one)
+        assert np.max(np.abs(edge_currents(np.vstack([w, w]), np.vstack([s, s]), system, HP)[1] - one)) \
+            <= 1e-13 * np.max(np.abs(one))
+
+
 class TestSourceReduction:
     def test_memristor_source_loop(self):
         # one memristor 0->1 plus a source edge 1->0 with EMF V:
@@ -597,6 +640,18 @@ class TestLinearize:
             linearize(source_vector(g, hp), cycle_projector(g), hp, np.array([-0.25]))
 
 
+def mean_relaxation(a: np.ndarray, w0, ts) -> np.ndarray:
+    """<w(t)> = (1/N) tr(e^{At} W0), W0 = diag(w0), through the eigendecomposition of A.
+
+    The average relaxation of Caravelli, Traversa & Di Ventra (PRE 95, 022140,
+    2017): the reference that ``soc_experiment``'s relaxation is checked against.
+    """
+    a = np.asarray(a, dtype=float)
+    lam, q = np.linalg.eig(a)
+    d = np.diagonal(np.linalg.solve(q, np.diag(np.asarray(w0, dtype=float)) @ q))
+    return np.array([np.sum(np.exp(lam * t) * d) for t in np.asarray(ts, dtype=float)]).real / a.shape[0]
+
+
 class TestMeanRelaxation:
     def test_zero_matrix_constant(self):
         w0 = np.array([0.2, 0.4, 0.9])
@@ -623,19 +678,6 @@ class TestMeanRelaxation:
             ref = np.array([np.trace(expm(a * t) @ np.diag(w0)) / n for t in ts])
             assert np.max(np.abs(ours - ref)) < 1e-8
 
-    def test_failed_eigendecomposition_is_simulation_error(self):
-        a = -np.eye(3)
-        a[1, 2] = np.nan
-        with pytest.raises(SimulationError, match="eigendecomposition"):
-            mean_relaxation(a, np.full(3, 0.5), np.linspace(0, 1, 3))
-
-    def test_negative_branch_filter(self):
-        lam = np.array([-2.0, 3.0])
-        w0 = np.array([1.0, 1.0])
-        ts = np.array([0.0, 1.0])
-        out = mean_relaxation(np.diag(lam), w0, ts, branch="negative")
-        assert out[1] == pytest.approx(np.exp(-2.0) / 2)
-
     def test_log_uniform_spectrum_power_law(self):
         # Lorentzian-mixture oracle: log-uniform rates over 4 decades give a
         # logarithmic relaxation; compare the fitted exponent with the same
@@ -654,21 +696,47 @@ class TestMeanRelaxation:
         assert abs(fit - fit_oracle) < 0.2
 
 
+class TestRandomNetwork:
+    def test_too_few_nodes_refused(self):
+        for n_nodes in (0, 1):
+            with pytest.raises(ValueError, match="at least 2 nodes"):
+                random_network(np.random.default_rng(0), n_nodes=n_nodes)
+
+    def test_no_connected_draw_refused(self):
+        with pytest.raises(ValueError, match="no connected graph"):
+            random_network(np.random.default_rng(0), n_nodes=5, edge_prob=0.0)
+
+
 class TestSocExperiment:
     def test_n100_network_exponents(self):
         rng = np.random.default_rng(1)
         g = random_network(rng, n_nodes=100, edge_prob=0.045, n_sources=5, source_volts=1.0)
-        res = soc_experiment(g, HP)
+        res = soc_experiment(g, HP, SOC_SPEC)
         assert res.power_law
         assert abs(res.gamma + 1.0) <= 0.3
         assert abs(res.spectrum_slope + (1.0 - res.gamma)) <= 0.3
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_relaxation_matches_the_trace_oracle(self, seed):
+        # the CLI's graph at this seed; <w(t)> over the kept rates is the modal
+        # sum tr(e^{At} W0)/N with A = diag(-rates) and W0 = I/2
+        p = NETWORK_SOC
+        g = random_network(np.random.default_rng(seed), n_nodes=p["n_nodes"], edge_prob=p["edge_prob"],
+                           n_sources=p["n_sources"], source_volts=p["source_volts"])
+        hp = HpParams(alpha=p["alpha"], beta=p["beta"], r_on=p["r_on"], r_off=p["r_off"])
+        res = soc_experiment(g, hp, SOC_SPEC)
+        t = np.linspace(0.0, 6.0 / res.rates.min(), RELAXATION_SAMPLES)
+        want = mean_relaxation(np.diag(-res.rates), np.full(res.rates.size, 0.5), t)
+        got = res.relaxation["mean_w"]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_single_memristor_rejected(self):
         # one device driven so its linearization is a single negative rate:
         # no scaling regime, the R^2 gate rejects the power-law fit
         g = CircuitGraph(n_node_s := 2, edges=(Edge(0, 1), Edge(1, 0, "source", -2.0)))
         del n_node_s
-        res = soc_experiment(g, HP)
+        res = soc_experiment(g, HP, SOC_SPEC)
         assert res.rates.size == 1
         assert not res.power_law
         assert res.fit_r2 < 0.9
@@ -739,7 +807,7 @@ class TestMaze:
 
     def test_corridor_solution(self):
         m = MazeSpec.from_text("S....E")
-        result = solve_maze(m, HpParams(alpha=0.1, beta=1.0, r_on=1.0, r_off=100.0), 100.0)
+        result = solve_maze(m, HpParams(alpha=0.1, beta=1.0, r_on=1.0, r_off=100.0), 100.0, MAZE_SPEC)
         oracle = bfs_shortest_path(m)
         assert {tuple(sorted(p)) for p in result.path} == {
             tuple(sorted(p)) for p in zip(oracle, oracle[1:])}
@@ -748,7 +816,7 @@ class TestMaze:
     def test_hand_maze_with_unique_path(self):
         text = "S....\n####.\n....E"
         m = MazeSpec.from_text(text)
-        result = solve_maze(m, HpParams(alpha=0.1, beta=1.0, r_on=1.0, r_off=100.0), 100.0)
+        result = solve_maze(m, HpParams(alpha=0.1, beta=1.0, r_on=1.0, r_off=100.0), 100.0, MAZE_SPEC)
         oracle = bfs_shortest_path(m)
         assert {tuple(sorted(p)) for p in result.path} == {
             tuple(sorted(p)) for p in zip(oracle, oracle[1:])}
@@ -781,7 +849,7 @@ class TestMaze:
             maze = _random_maze(rng, h, w)
             if maze is None:
                 continue
-            result = solve_maze(maze, hp, 100.0)
+            result = solve_maze(maze, hp, 100.0, MAZE_SPEC)
             oracle = bfs_shortest_path(maze)
             oracle_adj = {tuple(sorted(p)) for p in zip(oracle, oracle[1:])}
             found_adj = {tuple(sorted(p)) for p in result.path}
@@ -802,7 +870,7 @@ class TestMaze:
             maze = _random_maze(rng, h, w, tied=True)
             if maze is None:
                 continue
-            result = solve_maze(maze, hp, 100.0)
+            result = solve_maze(maze, hp, 100.0, MAZE_SPEC)
             found_adj = {tuple(sorted(p)) for p in result.path}
             assert found_adj <= shortest_route_edges(maze)
             assert len(result.path) == len(bfs_shortest_path(maze)) - 1

@@ -17,8 +17,8 @@ for info in pkgutil.iter_modules(memsim.__path__):
     importlib.import_module("memsim." + info.name)
 import numpy as np
 from memsim.circuits import McParams, PlantParams, hh_simulate, mc_analytic, mc_calibrate, plant_simulate
-from memsim.core import DriveSignal, IntegratorSpec
-from memsim.devices import HhParams, HpParams, hp_volatile_analytic, simulate_hp_voltage_driven
+from memsim.core import DriveSignal, IntegratorSpec, linear_response
+from memsim.devices import HhParams, HpParams, simulate_hp_voltage_driven
 from memsim.learning import LinearReservoir, Reservoir, rc_run
 from memsim.network import (CircuitGraph, Edge, MazeSpec, cycle_projector, edge_currents, kirchhoff_system,
                             linearize, simulate_network, solve_maze, source_vector)
@@ -60,7 +60,7 @@ assert np.all(np.isfinite(hh_simulate(hh, drive, spec)["i_na"]))
 res = Reservoir(dynamics=LinearReservoir(a=np.array([[-1.0, 1.0], [0.0, -1.0]])), b=np.ones((2, 1)),
                 h=np.eye(2))
 assert np.all(np.isfinite(rc_run(res, drive, spec)["g1"]))
-assert np.isfinite(hp_volatile_analytic(drive, 0.3, HpParams(alpha=0.5, beta=1.0, r_on=1.0, r_off=2.0), 1.0))
+assert np.all(np.isfinite(linear_response(lambda t: -drive(t), -0.5, spec, y0=0.3)))
 """
 
 
