@@ -124,8 +124,8 @@ def mc_simulate(p: McParams, q0: float, spec: IntegratorSpec) -> Trace:
         return np.array([-y[0] / (mc_resistance(y[0], p) * p.c)])
 
     q = integrate(rhs, [q0], spec)[:, 0]
-    return Trace(t0=0.0, dt=spec.dt, names=("q", "v_c", "r"),
-                 values=np.column_stack([q, q / p.c, mc_resistance(q, p)]))
+    return Trace(spec.dt * np.arange(q.size), ("q", "v_c", "r"),
+                 np.column_stack([q, q / p.c, mc_resistance(q, p)]))
 
 
 def mc_calibrate(p: McParams, q0: float) -> McParams:
@@ -235,7 +235,7 @@ def amoeba_simulate(
         first = False
     data = np.vstack(pieces)
     v = np.concatenate(vs)
-    return Trace(t0=0.0, dt=spec.dt, names=("i", "v_c", "m", "v"), values=np.column_stack([data, v]))
+    return Trace(spec.dt * np.arange(len(data)), ("i", "v_c", "m", "v"), np.column_stack([data, v]))
 
 
 @dataclass(frozen=True)
@@ -310,8 +310,7 @@ def plant_simulate(p: PlantParams, v: DriveSignal, spec: IntegratorSpec) -> Trac
     else:
         q = linear_response(lambda x: eval_signal(v, x) / p.rc_r, 1.0 / (p.rc_r * p.rc_c), spec)
         i_rc = (vv - q / p.rc_c) / p.rc_r
-    return Trace(t0=0.0, dt=spec.dt, names=("i_m", "i_rc", "i", "v"),
-                 values=np.column_stack([i_m, i_rc, i_m + i_rc, vv]))
+    return Trace(t, ("i_m", "i_rc", "i", "v"), np.column_stack([i_m, i_rc, i_m + i_rc, vv]))
 
 
 def hh_simulate(p: HhParams, v_drive: DriveSignal, spec: IntegratorSpec,
@@ -349,5 +348,5 @@ def hh_simulate(p: HhParams, v_drive: DriveSignal, spec: IntegratorSpec,
                   for gk, ok, w0 in zip(force, at_one, g0.tolist()))
     vv = v_half[::2]
     i_k, i_na, *_ = hh_model(w1, w2, w3, vv, vv, p)
-    return Trace(t0=0.0, dt=spec.dt, names=("w1", "w2", "w3", "i_k", "i_na", "v"),
-                 values=np.column_stack([w1, w2, w3, i_k, i_na, vv]))
+    return Trace(spec.dt * np.arange(vv.size), ("w1", "w2", "w3", "i_k", "i_na", "v"),
+                 np.column_stack([w1, w2, w3, i_k, i_na, vv]))

@@ -268,8 +268,7 @@ def run_mc_volatility(params, rng):
     tr = mc_simulate(mc, params["q0"], spec)
     mc = mc_calibrate(mc, params["q0"])
     q_pred = mc_analytic(tr.times, mc)
-    out = Trace(t0=tr.t0, dt=tr.dt, names=("q", "q_analytic", "r"),
-                values=np.column_stack([tr["q"], q_pred, tr["r"]]))
+    out = Trace(tr.times, ("q", "q_analytic", "r"), np.column_stack([tr["q"], q_pred, tr["r"]]))
     tail = tr.times > 5.0 * tau0
     rel = np.abs(q_pred[tail] - tr["q"][tail]) / np.abs(tr["q"][tail])
     metrics = {"tail_max_rel_err": float(rel.max()), "c1": mc.c1}
@@ -373,8 +372,7 @@ def run_maze(params, rng):
     }
     text = "\n".join(f"{a} -> {b}" for a, b in result.path) + "\n"
     tr = result.run.trace
-    maze_w = Trace(t0=tr.t0, dt=tr.dt, names=(*tr.names, "mean_w"),
-                   values=np.column_stack([tr.values, tr.values.mean(axis=1)]))
+    maze_w = Trace(tr.times, (*tr.names, "mean_w"), np.column_stack([tr.values, tr.values.mean(axis=1)]))
     return metrics, {"maze_w": maze_w}, {"path.txt": text}
 
 
@@ -437,7 +435,7 @@ def run_crossbar_train(params, rng, literal=False):
     else:
         raise ValueError(f"unknown training rule '{kind}'")
     data = np.array(rows)
-    tr = Trace(t0=0.0, dt=1.0, names=tuple(f"row{i}" for i in range(data.shape[1])), values=data)
+    tr = Trace(np.arange(len(data), dtype=float), tuple(f"row{i}" for i in range(data.shape[1])), data)
     return metrics, {"training": tr}, None
 
 
@@ -498,8 +496,8 @@ def run_nef_demo(params, rng):
     f_hat = nef_decode(nef_encode(test, pop), dec)
     rms = float(np.sqrt(np.mean((f_hat - test) ** 2)))
     zero_rms = float(np.sqrt(np.mean(test ** 2)))
-    tr = Trace(t0=float(grid[0]), dt=float(grid[1] - grid[0]), names=("f", "f_hat"),
-               values=np.column_stack([test, f_hat]))
+    tr = Trace(grid[0] + (grid[1] - grid[0]) * np.arange(grid.size), ("f", "f_hat"),
+               np.column_stack([test, f_hat]))
     return ({"test_rms": rms, "zero_rms": zero_rms, "n_neurons": pop.n_neurons},
             {"nef_decode": tr}, None)
 
@@ -575,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
         fields = PRESETS[name][default_preset(name)]
         if "dt" in fields:
             sp.add_argument("--dt", type=float, default=None,
-                            help="override dt (the fixed step; the row spacing of network runs)")
+                            help="override dt (the fixed step; for network runs the first trial step "
+                                 "and the maze's row spacing)")
         if "t_end" in fields:
             sp.add_argument("--t-end", type=float, default=None, help="override run length")
         if name == "crossbar-train":

@@ -2,9 +2,10 @@
 
 Everything here is pure: the same inputs always produce bit-identical outputs.
 ``integrate`` is the package's one stepping loop: fixed-step Euler or RK4,
-or the error-controlled Bogacki-Shampine 3(2) pair, which emits its rows on
-the same uniform grid, and returns them as one (rows x state) array, row k
-at time ``k * spec.dt``.  State clamping (where a model needs it) is supplied
+or the error-controlled Bogacki-Shampine 3(2) pair, which emits its rows at
+any increasing output times a caller asks for and by default on the same
+uniform grid, and returns them as one (rows x state) array, by default row
+k at time ``k * spec.dt``.  State clamping (where a model needs it) is supplied
 by the caller through the ``poststep`` hook; the integrator itself never
 touches the state.  Runs that end early (a network reaching steady state,
 the LCA reaching its fixed point) pass a ``stop`` hook, which sees the state
@@ -48,6 +49,8 @@ BS3_RTOL = 1e-7
 BS3_ATOL = 1e-7
 # values formatted per call by ``Trace.to_csv``: one block of rows at a time
 CSV_BLOCK_VALUES = 8192
+# ``Trace.spacing``: gaps may differ by this share of the largest |time|
+UNIFORM_RTOL = 1e-9
 
 
 class SimulationError(RuntimeError):
@@ -108,22 +111,22 @@ def eval_signal(s: DriveSignal, t):
 
 @dataclass(frozen=True)
 class Trace:
-    """Uniformly sampled multichannel time series, sample k at ``t0 + k * dt``.
+    """Multichannel time series, sample k at ``times[k]``.
 
+    ``times`` is one float array of the sample times, finite and strictly
+    increasing, one per row; a uniform series passes ``t0 + dt * np.arange(n)``.
     ``values`` is one float (samples x channels) array, column j the channel
-    ``names[j]``; a float64 array is kept as it is, not copied, and
+    ``names[j]``.  Float64 arrays are kept as they are, not copied, and
     ``tr[name]`` is a view of its column.
     """
 
-    t0: float
-    dt: float
+    times: np.ndarray
     names: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
         names = tuple(self.names)
+        times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if not names:
             raise ValueError("trace needs at least one channel")
@@ -133,6 +136,13 @@ class Trace:
             raise ValueError(f"values must be (samples x {len(names)}), got shape {values.shape}")
         if values.shape[0] < 1:
             raise ValueError("trace needs at least one sample")
+        if times.shape != (values.shape[0],):
+            raise ValueError(f"times must hold one time per sample ({values.shape[0]}), got shape {times.shape}")
+        if not np.isfinite(times).all():
+            raise ValueError("times must be finite")
+        if not (times[1:] > times[:-1]).all():
+            raise ValueError("times must strictly increase")
+        object.__setattr__(self, "times", times)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "values", values)
 
@@ -141,8 +151,20 @@ class Trace:
         return self.values.shape[0]
 
     @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_samples)
+    def spacing(self) -> float:
+        """The uniform sample spacing ``times[1] - times[0]``.
+
+        Raises ValueError for fewer than two samples, or when a gap between
+        samples differs from it by more than ``UNIFORM_RTOL`` of the largest
+        |time| (rounding in ``t0 + dt * np.arange(n)`` stays far inside that).
+        """
+        t = self.times
+        if t.size < 2:
+            raise ValueError("a spacing needs at least two samples")
+        h = t[1] - t[0]
+        if np.max(np.abs(np.diff(t) - h)) > UNIFORM_RTOL * np.max(np.abs(t)):
+            raise ValueError("trace samples are not uniformly spaced")
+        return float(h)
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name not in self.names:
@@ -156,8 +178,7 @@ class Trace:
         ``nan``/``inf``/``-0`` as Python prints them), which reads back as the
         same double.  Rows go out in blocks of
         ``max(1, CSV_BLOCK_VALUES // n_columns)``, each formatted by one ``%``
-        call and written at once; a block's times are computed for that block
-        alone, so no copy of the whole trace, nor of its time column, is made.
+        call and written at once, so no copy of the whole trace is made.
         """
         n_columns = len(self.names) + 1
         row_fmt = ",".join(["%.17g"] * n_columns) + "\n"
@@ -166,7 +187,7 @@ class Trace:
             fh.write("t," + ",".join(self.names) + "\n")
             for k in range(0, self.n_samples, block_rows):
                 k_end = min(k + block_rows, self.n_samples)
-                block = np.column_stack([self.t0 + self.dt * np.arange(k, k_end), self.values[k:k_end]])
+                block = np.column_stack([self.times[k:k_end], self.values[k:k_end]])
                 fh.write((row_fmt * (k_end - k)) % tuple(block.ravel().tolist()))
 
 
@@ -197,24 +218,31 @@ def integrate(
     spec: IntegratorSpec,
     poststep: Callable[[np.ndarray], np.ndarray] | None = None,
     stop: Callable[[np.ndarray, np.ndarray], bool] | None = None,
+    times: Sequence[float] | None = None,
 ) -> np.ndarray:
-    """Integrate ``dy/dt = rhs(y, t)``; returns (rows x state), row k at ``k * spec.dt``.
+    """Integrate ``dy/dt = rhs(y, t)``; returns (rows x state), row 0 the state at t = 0.
+
+    The run ends at ``spec.n_steps * spec.dt``, unless ``stop`` ends it
+    earlier.  By default row k is the state at ``k * spec.dt``.
 
     ``euler`` and ``rk4`` take fixed steps of ``spec.dt``, one per row.
-    ``bs3`` is the Bogacki-Shampine 3(2) pair with error control: its steps
-    start at ``spec.dt`` and then follow the error, which is the RMS, over
-    the components ``poststep`` left unmoved at the step's end, of the
-    difference of the two orders scaled by ``BS3_ATOL + BS3_RTOL * |y|``
-    (a clamped component ends exactly at its bound, where the difference
-    says nothing).  A step is accepted when that error is at most 1, and the
-    next step is 0.9 err^(-1/3) times this one, clipped to [0.2, 10].  The
-    rows on the grid ``k * spec.dt`` are the pair's cubic Hermite
-    interpolant between the steps around them (for a component the clamp
-    stopped inside the step, the quadratic through its start, its rate there
-    and its unclamped end, cut by ``poststep``), and the last step lands on
-    the last grid point, so the rows are uniform either way, with
-    ``n_steps + 1`` rows unless the run stops early; ``spec.dt`` is then the
-    output spacing only.
+    ``bs3`` is the Bogacki-Shampine 3(2) pair with error control: its first
+    trial step is ``spec.dt``, and then its steps follow the error, which is
+    the RMS, over the components ``poststep`` left unmoved at the step's
+    end, of the difference of the two orders scaled by
+    ``BS3_ATOL + BS3_RTOL * |y|`` (a clamped component ends exactly at its
+    bound, where the difference says nothing).  A step is accepted when that
+    error is at most 1, and the next step is 0.9 err^(-1/3) times this one,
+    clipped to [0.2, 10]; the last step lands on the end.  Its rows lie at
+    output times: ``times`` when given, else the grid ``k * spec.dt``.  A
+    row inside a step is the pair's cubic Hermite interpolant between the
+    steps around it (for a component the clamp stopped inside the step, the
+    quadratic through its start, its rate there and its unclamped end, cut
+    by ``poststep``); a row at a step's end is that stepped state.  The rows
+    are ``state0``, the row at each output time the run reached, and then
+    the final state if the run did not end on an output time, so the
+    default grid gives ``n_steps + 1`` rows unless the run stops early.
+    The steps taken do not depend on ``times``.
 
     Parameters
     ----------
@@ -230,17 +258,23 @@ def integrate(
     stop : optional early-stop hook ``stop(state, derivative) -> bool``,
         called after every accepted step (after ``poststep``) with the new
         state and ``rhs(state, t)`` there.  Once it returns True the run
-        ends at the next grid point: at once under euler and rk4, whose
-        steps are the grid; under bs3 after the steps that land on that
-        point (the hook still sees them, and what it returns there is
+        ends at the next output time: at once under euler and rk4, whose
+        steps are the grid; under bs3 at once when the step landed on an
+        output time or none is left, else after the steps that land on the
+        next one (the hook still sees them, and what it returns there is
         ignored), so the last row is a stepped state, not an interpolated
         one.  The derivative it is shown becomes the next step's first
         stage, so a run with a hook costs one RHS evaluation per Euler step
         (four per RK4 step, three per attempted bs3 step, which reuses it
         with or without a hook) plus one for the first step.
+    times : optional output times of bs3, strictly increasing in
+        (0, n_steps * dt]; ``()`` asks for the initial and the final state
+        alone.  euler and rk4 refuse it, since their rows are their steps.
 
     Raises
     ------
+    ValueError
+        for a non-finite ``state0`` or ``times`` that break the rules above.
     IntegrationDivergedError
         if the state becomes non-finite; the error names the failure time.
     SimulationError
@@ -252,7 +286,9 @@ def integrate(
     if not np.all(np.isfinite(y)):
         raise ValueError("state0 must be finite")
     if spec.method == "bs3":
-        return _bs3_rows(rhs, y, spec, poststep, stop)
+        return _bs3_rows(rhs, y, spec, poststep, stop, times)
+    if times is not None:
+        raise ValueError(f"{spec.method} rows are its steps on the grid k * dt; only bs3 takes times")
     dt = spec.dt
     # one row per step taken: a run that stops early never allocates the rest
     rows = [y]
@@ -280,16 +316,24 @@ def integrate(
     return np.array(rows)
 
 
-def _bs3_rows(rhs, y, spec: IntegratorSpec, poststep, stop) -> np.ndarray:
-    """The rows of ``integrate`` under bs3, one per grid point reached (see there)."""
+def _bs3_rows(rhs, y, spec: IntegratorSpec, poststep, stop, times) -> np.ndarray:
+    """The rows of ``integrate`` under bs3, at the output times reached (see there)."""
     clamp = (lambda v: v) if poststep is None else (lambda v: np.asarray(poststep(v), dtype=float))
-    dt = spec.dt
-    rows = [y]
-    k = 1  # index of the next grid row
-    t_last = spec.n_steps * dt  # the run ends here, or at the grid point after a stop
-    t, h = 0.0, dt
+    t_last = spec.n_steps * spec.dt  # the run ends here, or at the output time after a stop
+    if times is None:
+        times = spec.dt * np.arange(1, spec.n_steps + 1)
+    else:
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1 or not (np.isfinite(times).all() and (times[1:] > times[:-1]).all()):
+            raise ValueError("times must be a finite, strictly increasing 1-D sequence")
+        if times.size and not (times[0] > 0.0 and times[-1] <= t_last):
+            raise ValueError(f"times must lie in (0, {t_last:.6g}]")
+    blocks = [y[None, :]]  # the rows: state0, then those of each step in turn
+    k = 0  # index of the next output time
+    t, h = 0.0, spec.dt
     f = np.asarray(rhs(y, t), dtype=float)
     stopped = False
+    landed = True  # the state at t is a row: state0, or a step's end on an output time
     while t < t_last:
         lands = h >= t_last - t
         if lands:
@@ -313,34 +357,36 @@ def _bs3_rows(rhs, y, spec: IntegratorSpec, poststep, stop) -> np.ndarray:
             if t + h == t:
                 raise SimulationError(f"bs3 step size underflow at t={t:.6g}")
             continue
-        # rows on the grid in (t, t_new]: the cubic Hermite interpolant of the
-        # step, written as y + theta dy + ... so that a component with zero
-        # change and zero rates reads exactly y; the step's end is y_new itself
-        last = k
-        while last <= spec.n_steps and last * dt < t_new:
-            last += 1
-        theta = ((np.arange(k, last) * dt - t) / h)[:, None]
-        dy = y_new - y
-        mid = y + theta * dy + theta * (theta - 1.0) * (
-            (1.0 - 2.0 * theta) * dy + (theta - 1.0) * h * f + theta * h * f_new)
-        if not free.all():
-            # a component the clamp stopped inside the step: the quadratic
-            # from (y, f) to the unclamped end, which poststep then cuts at
-            # the bound where it crosses it
-            moved = ~free
-            mid[:, moved] = y[moved] + theta * (h * f[moved] + theta * (raw[moved] - y[moved] - h * f[moved]))
-        rows.extend(clamp(mid))
-        if last <= spec.n_steps and last * dt == t_new:
-            rows.append(y_new)
+        last = int(np.searchsorted(times, t_new))  # times[k:last] lie inside the step
+        if last > k:
+            # the cubic Hermite interpolant of the step, written as
+            # y + theta dy + ... so that a component with zero change and
+            # zero rates reads exactly y
+            theta = ((times[k:last] - t) / h)[:, None]
+            dy = y_new - y
+            mid = y + theta * dy + theta * (theta - 1.0) * (
+                (1.0 - 2.0 * theta) * dy + (theta - 1.0) * h * f + theta * h * f_new)
+            if not free.all():
+                # a component the clamp stopped inside the step: the quadratic
+                # from (y, f) to the unclamped end, which poststep then cuts at
+                # the bound where it crosses it
+                moved = ~free
+                mid[:, moved] = y[moved] + theta * (h * f[moved] + theta * (raw[moved] - y[moved] - h * f[moved]))
+            blocks.append(clamp(mid))
+        landed = last < times.size and times[last] == t_new
+        if landed:
+            blocks.append(y_new[None, :])
             last += 1
         k = last
         t, y, f = t_new, y_new, f_new
         if stop is not None and stop(y, f) and not stopped:
-            # end at the next grid point, which is this one if the step landed on it
+            # end at the next output time: here if the step landed on one or none is left
             stopped = True
-            t_last = t if t == (k - 1) * dt else k * dt
+            t_last = t if landed or k == times.size else times[k]
         h *= grow
-    return np.array(rows)
+    if not landed:
+        blocks.append(y[None, :])  # the final state, at no output time
+    return np.concatenate(blocks)
 
 
 # samples per block of the scalar recurrence in ``linear_response``
@@ -487,24 +533,27 @@ def power_spectrum_exponent(tr: Trace, channel: str, fit_band: tuple[float, floa
 
     No window and no detrending: for relaxation transients the turn-on
     discontinuity carries the power-law skirt that the slope measures.
-    Requires >= 1024 samples and 0 < f_lo < f_hi < Nyquist.
+    Requires >= 1024 uniformly spaced samples (``Trace.spacing``) and
+    0 < f_lo < f_hi < Nyquist.
 
     Raises
     ------
     ValueError
-        if the band is empty after discretization (fewer than two usable
-        bins; a pure spectral line rejects this way).
+        if the samples are not uniformly spaced, or if the band is empty
+        after discretization (fewer than two usable bins; a pure spectral
+        line rejects this way).
     """
     x = tr[channel]
     n = x.size
     if n < 1024:
         raise ValueError(f"need at least 1024 samples, got {n}")
     f_lo, f_hi = fit_band
-    nyquist = 0.5 / tr.dt
+    dt = tr.spacing
+    nyquist = 0.5 / dt
     if not 0.0 < f_lo < f_hi < nyquist:
         raise ValueError(f"fit band must satisfy 0 < f_lo < f_hi < Nyquist={nyquist:.6g}")
     p = np.abs(np.fft.rfft(x)) ** 2
-    f = np.fft.rfftfreq(n, tr.dt)
+    f = np.fft.rfftfreq(n, dt)
     mask = (f >= f_lo) & (f <= f_hi) & (p > p.max() * _POWER_FLOOR)
     if np.count_nonzero(mask) < 2:
         raise ValueError("fit band is empty after discretization")

@@ -435,7 +435,8 @@ def simulate_hp_voltage_driven(
             return np.array([hp_rhs(w, i, p, win)])
 
         w = integrate(rhs, [w0], spec, poststep=clamp01)[:, 0]
-    v = np.asarray(eval_signal(drive, spec.dt * np.arange(spec.n_steps + 1)), dtype=float)
+    t = spec.dt * np.arange(spec.n_steps + 1)
+    v = np.asarray(eval_signal(drive, t), dtype=float)
     r = hp_resistance(w, p)
     i = v / r
-    return Trace(t0=0.0, dt=spec.dt, names=("w", "v", "i", "r"), values=np.column_stack([w, v, i, r]))
+    return Trace(t, ("w", "v", "i", "r"), np.column_stack([w, v, i, r]))

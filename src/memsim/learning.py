@@ -236,9 +236,10 @@ def rc_run(r: Reservoir, u_signal, spec: IntegratorSpec) -> Trace:
         return np.asarray(u_signal(t), dtype=float).reshape(np.shape(t) + (-1,))
 
     feats = r.dynamics.trajectory(r.b, inputs, spec) @ r.h.T
-    us = inputs(spec.dt * np.arange(spec.n_steps + 1))
+    t = spec.dt * np.arange(spec.n_steps + 1)
+    us = inputs(t)
     names = (*(f"g{i}" for i in range(feats.shape[1])), *(f"u{i}" for i in range(us.shape[1])))
-    return Trace(t0=0.0, dt=spec.dt, names=names, values=np.hstack([feats, us]))
+    return Trace(t, names, np.hstack([feats, us]))
 
 
 @dataclass(frozen=True)
@@ -420,5 +421,5 @@ def lca_simulate(p: LcaProblem, x, spec: IntegratorSpec, tol: float = 1e-8) -> L
     rows = integrate(rhs, np.zeros(n_atoms), spec, stop=reached_fixed_point)
     if not converged:
         warnings.warn("LCA did not reach a fixed point within t_end", RuntimeWarning, stacklevel=2)
-    trace = Trace(t0=0.0, dt=spec.dt, names=tuple(f"u{i}" for i in range(n_atoms)), values=rows)
+    trace = Trace(spec.dt * np.arange(len(rows)), tuple(f"u{i}" for i in range(n_atoms)), rows)
     return LcaResult(a=hard_threshold(rows[-1], p.lam), trace=trace, converged=converged)

@@ -41,7 +41,10 @@ independent checks compare against.
 ``simulate_network`` steps the clamp-aware rate (zero for a memory that a
 bound holds) with any ``integrate`` method.  The soc relaxation and the maze
 take the error-controlled Bogacki-Shampine pair ("bs3"), whose steps follow
-the slow DC relaxation; their ``dt`` is the spacing of the trace rows only.
+the slow DC relaxation from a first trial step of ``dt``.  bs3 emits rows at
+the times a caller asks for, and by default every ``dt``: the maze keeps
+every row, and the soc relaxation, which analyses only where the run ends,
+keeps its initial and final states alone.
 
 Voltage sources come in two forms: a series EMF on a memristive edge (the
 ``value`` field), or a pure source edge.  Pure source edges are eliminated
@@ -499,6 +502,7 @@ def simulate_network(
     spec: IntegratorSpec,
     w0: float = 0.5,
     steady_tol: float = 1e-6,
+    times: Sequence[float] | None = None,
 ) -> NetworkRun:
     """Integrate the network equation with per-edge clamping to [0, 1].
 
@@ -508,10 +512,14 @@ def simulate_network(
     a memory at a bound that the network pushes outward has rate zero, so
     it stays exactly at the bound, in the rows bs3 interpolates too.  Under
     ``spec.method == "bs3"`` (what ``soc_experiment`` and ``solve_maze``
-    use) the steps follow the error and ``spec.dt`` is the row spacing.
-    Stops once the rate norm falls below ``steady_tol``, at the next row.
-    The trace holds ``integrate``'s rows as they are, one column per memory,
-    w0..w{E-1}.  Every rate evaluation solves the currents with
+    use) the first trial step is ``spec.dt`` and the steps then follow the
+    error; the rows lie at ``times`` (passed on to ``integrate``, bs3 only)
+    or by default every ``spec.dt``.  Stops once the rate norm falls below
+    ``steady_tol``, at the next row's time, or at once when no requested
+    time is left.  The trace holds ``integrate``'s rows as they are, one
+    column per memory, w0..w{E-1}, labelled with their times: ``k * spec.dt``
+    by default, else 0, the requested times reached and the end of the run.
+    Every rate evaluation solves the currents with
     ``kirchhoff_system(g)``, built once here and returned as
     ``NetworkRun.system`` for the caller's own solves; ``NetworkRun.steps``
     and ``rhs_calls`` count the accepted steps and the rate evaluations.
@@ -524,21 +532,30 @@ def simulate_network(
     w = np.full(n_e, w0, dtype=float)
     steps = rhs_calls = 0
     steady = False
+    t_rate = t_end = 0.0  # the time of the last rate evaluation; of the last step
 
     def rate(w, t):
-        nonlocal rhs_calls
+        nonlocal rhs_calls, t_rate
         rhs_calls += 1
+        t_rate = t
         return clamped_rate(w, memnet_rhs(w, s, system, hp), 0.0, 1.0)
 
     def reached_steady(w, dw):
-        # bs3 shows the hook the steps after it fired too, up to the next row
-        nonlocal steps, steady
+        # bs3 shows the hook the steps after it fired too, up to the next row;
+        # dw is the rate at the step's end, the last one evaluated
+        nonlocal steps, steady, t_end
         steps += 1
+        t_end = t_rate
         steady = steady or bool(np.max(np.abs(dw)) < steady_tol)
         return steady
 
-    rows = integrate(rate, w, spec, poststep=clamp01, stop=reached_steady)
-    trace = Trace(t0=0.0, dt=spec.dt, names=tuple(f"w{i}" for i in range(n_e)), values=rows)
+    rows = integrate(rate, w, spec, poststep=clamp01, stop=reached_steady, times=times)
+    if times is None:
+        row_times = spec.dt * np.arange(len(rows))
+    else:
+        asked = np.asarray(times, dtype=float)
+        row_times = np.concatenate([[0.0], asked[asked < t_end], [t_end]]) if t_end > 0.0 else np.zeros(1)
+    trace = Trace(row_times, tuple(f"w{i}" for i in range(n_e)), rows)
     return NetworkRun(trace=trace, steady=steady, stop_reason="steady" if steady else "t_end",
                       system=system, steps=steps, rhs_calls=rhs_calls)
 
@@ -588,21 +605,26 @@ MAX_GRAPH_DRAWS = 200  # random_network gives up after this many disconnected dr
 
 def random_network(
     rng: np.random.Generator,
-    n_nodes: int = 100,
-    edge_prob: float = 0.045,
-    n_sources: int = 5,
-    source_volts: float = 1.0,
+    *,
+    n_nodes: int,
+    edge_prob: float,
+    n_sources: int,
+    source_volts: float,
 ) -> CircuitGraph:
     """Connected Erdos-Renyi memristive network with random series sources.
 
-    Raises ValueError for fewer than two nodes, or when ``MAX_GRAPH_DRAWS``
-    draws give no connected graph with at least ``n_nodes`` edges.
+    Each draw takes the pairs i < j whose entry of an ``n_nodes`` square
+    uniform draw is below ``edge_prob``, in row-major order, and puts
+    ``source_volts`` of random sign on ``n_sources`` of them.  Raises
+    ValueError for fewer than two nodes, or when ``MAX_GRAPH_DRAWS`` draws
+    give no connected graph with at least ``n_nodes`` edges.
     """
     if n_nodes < 2:
         raise ValueError(f"a random network needs at least 2 nodes, got {n_nodes}")
     for _ in range(MAX_GRAPH_DRAWS):
         mask = rng.random((n_nodes, n_nodes)) < edge_prob
-        pairs = [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes) if mask[i, j]]
+        tails, heads = np.nonzero(np.triu(mask, 1))
+        pairs = list(zip(tails.tolist(), heads.tolist()))
         if len(pairs) < n_nodes:
             continue
         emf = np.zeros(len(pairs))
@@ -660,11 +682,14 @@ def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec) -> SocRe
     ``power_law=False``.
 
     The relaxation is ``simulate_network`` under ``spec`` (the CLI passes
-    the soc-n100 preset's bs3 spec); the linearization point is its last
-    row, a stepped state.  ``steps`` and ``rhs_calls`` report its work.
+    the soc-n100 preset's bs3 spec); the linearization point is its final
+    state, a stepped state.  Under bs3 it asks for no rows between the
+    initial and the final state, so a steady stop ends the run at once;
+    euler and rk4 keep their grid rows.  ``steps`` and ``rhs_calls`` report
+    its work.
     """
     s = source_vector(g, hp)
-    run = simulate_network(g, s, hp, spec, w0=0.5)
+    run = simulate_network(g, s, hp, spec, w0=0.5, times=() if spec.method == "bs3" else None)
     w_star = run.trace.values[-1]
     a = linearize(s, run.system, hp, w_star)
     lam = np.real(np.linalg.eigvals(a))
@@ -681,7 +706,7 @@ def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec) -> SocRe
     # the same numbers as one RELAXATION_SAMPLES x rates array, without it
     x = np.concatenate([0.5 * np.exp(-np.outer(t[k:k + RELAXATION_BLOCK], rates)).mean(axis=1)
                         for k in range(0, t.size, RELAXATION_BLOCK)])
-    relax = Trace(t0=0.0, dt=t[1] - t[0], names=("mean_w",), values=x[:, None])
+    relax = Trace((t[1] - t[0]) * np.arange(t.size), ("mean_w",), x[:, None])
 
     t_lo, t_hi = GAMMA_WINDOW[0] / lam_max, GAMMA_WINDOW[1] / lam_min
     if np.count_nonzero((t > t_lo) & (t <= t_hi) & (x > 0)) < 8:
@@ -690,7 +715,7 @@ def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec) -> SocRe
     msk = (t > t_lo) & (t <= t_hi) & (x > 0)
     gamma, _ = loglog_slope(t[msk], x[msk])
     fit_r2 = _log_resampled_r2(t, x, t_lo, t_hi)
-    nyquist = 0.5 / relax.dt
+    nyquist = 0.5 / relax.spacing
     f_hi = min(lam_max * FIT_BAND[1] / (2.0 * np.pi), 0.999 * nyquist)
     slope = power_spectrum_exponent(relax, "mean_w", (lam_max / (2.0 * np.pi) / FIT_BAND[0], f_hi))
     return SocResult(

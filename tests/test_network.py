@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.special import exp1
 
+from memsim import network
 from memsim.core import IntegratorSpec
 from memsim.devices import HpParams, hp_resistance, hp_rhs
 from memsim.network import (
@@ -37,11 +40,18 @@ HP = HpParams(alpha=0.0, beta=1.0, r_on=1.0, r_off=100.0)
 # the step policies of the soc-n100 and maze-demo presets, as the CLI passes them
 SOC_SPEC = IntegratorSpec(method="bs3", dt=NETWORK_SOC["dt"], t_end=NETWORK_SOC["t_end"])
 MAZE_SPEC = IntegratorSpec(method="bs3", dt=MAZE["dt"], t_end=MAZE["t_end"])
+# the soc-n100 preset's graph fields, as the CLI passes them to random_network
+SOC_GRAPH = {k: NETWORK_SOC[k] for k in ("n_nodes", "edge_prob", "n_sources", "source_volts")}
 
 # 9 x 19, one shortest route: the size of the largest benchmark mazes
 LONG_MAZE = ("S..#...#.....#...#.\n.#.###.#.#.#.#.#.#.\n.#.......#.#.#.#...\n.#.#.#.###.#.#.###.\n"
              ".#...#.....#.#...#.\n.#.#####.###.#.#.#.\n.#.#.........#.#.#.\n.#.###.###.#####.#.\n"
              ".......#.........#E")
+
+
+def preset_graph(seed):
+    """The CLI's soc-n100 graph at ``--seed seed``."""
+    return random_network(np.random.default_rng(seed), **SOC_GRAPH)
 
 
 def ring(n, emf_on_first=0.0):
@@ -301,7 +311,7 @@ class TestKirchhoffSystem:
 
     def test_form_follows_the_smaller_system(self):
         # the soc-n100 preset graph (seed 0): N - 1 = 99 potentials, C = 134 cycles
-        g = random_network(np.random.default_rng(0))
+        g = preset_graph(0)
         system = kirchhoff_system(g)
         assert system.form == "nodal" and system.operator.shape == (99, 233)
         # a benchmark-sized maze: a few cycles among ~100 cells
@@ -566,6 +576,28 @@ def test_bs3_matches_dop853_on_unclamped_networks():
     assert forms == {"mesh", "nodal"}
 
 
+def test_bs3_log_times_follow_the_exact_flow():
+    # the Hermite rows at log-spaced times on unclamped networks, against
+    # DOP853 at rtol = atol = 1e-12.  Seen: at most 2.5e-7, as on the
+    # uniform grid; the bound is 2e-6, 20 BS3_RTOL.
+    from scipy.integrate import solve_ivp
+
+    hp = HpParams(alpha=0.05, beta=5.0, r_on=1.0, r_off=50.0)
+    spec = IntegratorSpec(method="bs3", dt=0.1, t_end=10.0)
+    times = np.geomspace(1e-3, 10.0, 61)
+    for seed, n_nodes in ((0, 8), (1, 8), (0, 14), (1, 14)):
+        g = random_sourced(np.random.default_rng(seed), n_nodes)
+        run = simulate_network(g, None, hp, spec, times=times)
+        system = kirchhoff_system(g)
+        s = source_vector(g, hp)
+        assert np.array_equal(run.trace.times, np.concatenate([[0.0], times]))
+        w = run.trace.values.T
+        ref = solve_ivp(lambda t, y: memnet_rhs(y, s, system, hp), (0.0, spec.t_end), w[:, 0],
+                        method="DOP853", t_eval=run.trace.times, rtol=1e-12, atol=1e-12).y
+        assert 0.0 < ref.min() and ref.max() < 1.0
+        assert np.max(np.abs(w - ref)) < 2e-6
+
+
 class TestLinearize:
     def test_chi_zero_alpha_zero_is_zero(self):
         hp = HpParams(alpha=0.0, beta=1.0, r_on=2.0, r_off=2.0)
@@ -700,17 +732,46 @@ class TestRandomNetwork:
     def test_too_few_nodes_refused(self):
         for n_nodes in (0, 1):
             with pytest.raises(ValueError, match="at least 2 nodes"):
-                random_network(np.random.default_rng(0), n_nodes=n_nodes)
+                random_network(np.random.default_rng(0), **{**SOC_GRAPH, "n_nodes": n_nodes})
 
     def test_no_connected_draw_refused(self):
         with pytest.raises(ValueError, match="no connected graph"):
-            random_network(np.random.default_rng(0), n_nodes=5, edge_prob=0.0)
+            random_network(np.random.default_rng(0), **{**SOC_GRAPH, "n_nodes": 5, "edge_prob": 0.0})
+
+    def test_graph_fields_are_required(self):
+        with pytest.raises(TypeError):
+            random_network(np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_edges_match_the_pair_loop(self, seed):
+        # the loop the numpy pairs replaced, on the same draws of the same rng
+        p = SOC_GRAPH
+        rng = np.random.default_rng(seed)
+        while True:
+            mask = rng.random((p["n_nodes"], p["n_nodes"])) < p["edge_prob"]
+            pairs = [(i, j) for i in range(p["n_nodes"]) for j in range(i + 1, p["n_nodes"]) if mask[i, j]]
+            if len(pairs) < p["n_nodes"]:
+                continue
+            emf = np.zeros(len(pairs))
+            idx = rng.choice(len(pairs), size=min(p["n_sources"], len(pairs)), replace=False)
+            emf[idx] = p["source_volts"] * rng.choice([-1.0, 1.0], size=len(idx))
+            want = CircuitGraph(p["n_nodes"], tuple(Edge(a, b, "memristor", v) for (a, b), v in zip(pairs, emf)))
+            try:
+                cycle_basis(want)
+                break
+            except DisconnectedGraphError:
+                continue
+        got = preset_graph(seed)
+        assert got == want
+        assert all(type(x) is int for e in got.edges for x in (e.tail, e.head))
+
+    def test_cli_seed_0_has_233_edges(self):
+        assert len(preset_graph(0).edges) == 233
 
 
 class TestSocExperiment:
     def test_n100_network_exponents(self):
-        rng = np.random.default_rng(1)
-        g = random_network(rng, n_nodes=100, edge_prob=0.045, n_sources=5, source_volts=1.0)
+        g = preset_graph(1)
         res = soc_experiment(g, HP, SOC_SPEC)
         assert res.power_law
         assert abs(res.gamma + 1.0) <= 0.3
@@ -721,8 +782,7 @@ class TestSocExperiment:
         # the CLI's graph at this seed; <w(t)> over the kept rates is the modal
         # sum tr(e^{At} W0)/N with A = diag(-rates) and W0 = I/2
         p = NETWORK_SOC
-        g = random_network(np.random.default_rng(seed), n_nodes=p["n_nodes"], edge_prob=p["edge_prob"],
-                           n_sources=p["n_sources"], source_volts=p["source_volts"])
+        g = preset_graph(seed)
         hp = HpParams(alpha=p["alpha"], beta=p["beta"], r_on=p["r_on"], r_off=p["r_off"])
         res = soc_experiment(g, hp, SOC_SPEC)
         t = np.linspace(0.0, 6.0 / res.rates.min(), RELAXATION_SAMPLES)
@@ -730,6 +790,45 @@ class TestSocExperiment:
         got = res.relaxation["mean_w"]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relaxation_keeps_its_end_alone(self, seed, monkeypatch):
+        # the CLI's graph at this seed: the run soc_experiment makes holds the
+        # initial and the final state, and the final one, the steps and the
+        # rate evaluations are those of a run that keeps every grid row
+        p = NETWORK_SOC
+        g = preset_graph(seed)
+        hp = HpParams(alpha=p["alpha"], beta=p["beta"], r_on=p["r_on"], r_off=p["r_off"])
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(simulate_network(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(network, "simulate_network", spy)
+        soc_experiment(g, hp, SOC_SPEC)
+        (run,) = runs
+        full = simulate_network(g, source_vector(g, hp), hp, SOC_SPEC, w0=0.5)
+        assert full.trace.n_samples == SOC_SPEC.n_steps + 1 and not full.steady
+        assert run.trace.n_samples == 2
+        assert np.array_equal(run.trace.times, [0.0, SOC_SPEC.n_steps * SOC_SPEC.dt])
+        assert np.array_equal(run.trace.values, full.trace.values[[0, -1]])
+        assert (run.steps, run.rhs_calls, run.steady) == (full.steps, full.rhs_calls, full.steady)
+
+    def test_relaxation_memory(self):
+        # the CLI-seed-0 graph: keeping every grid row peaked at 15.9 MB
+        # (4001 rows x 233 memories, listed and then copied); the rows
+        # soc_experiment reads peak at about 2.4 MB
+        p = NETWORK_SOC
+        g = preset_graph(0)
+        hp = HpParams(alpha=p["alpha"], beta=p["beta"], r_on=p["r_on"], r_off=p["r_off"])
+        tracemalloc.start()
+        try:
+            soc_experiment(g, hp, SOC_SPEC)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_single_memristor_rejected(self):
         # one device driven so its linearization is a single negative rate:

@@ -333,12 +333,12 @@ def csv_traces(draw):
     values = rng.choice(np.array(pool), size=(n_rows, n_columns - 1))
     t0 = draw(st.floats(-1e6, 1e6), label="t0")
     dt = draw(st.floats(1e-9, 1e3), label="dt")
-    return Trace(t0=t0, dt=dt, names=tuple(f"c{i}" for i in range(n_columns - 1)), values=values)
+    return Trace(t0 + dt * np.arange(n_rows), tuple(f"c{i}" for i in range(n_columns - 1)), values)
 
 
 class TestTrace:
     def test_csv_roundtrip(self, tmp_path):
-        tr = Trace(t0=0.0, dt=0.5, names=("a", "b"), values=[[1.0, 0.1], [2.0, 0.2], [3.0, 0.3]])
+        tr = Trace([0.0, 0.5, 1.0], ("a", "b"), [[1.0, 0.1], [2.0, 0.2], [3.0, 0.3]])
         path = tmp_path / "t.csv"
         tr.to_csv(str(path))
         assert path.read_text().splitlines()[0] == "t,a,b"
@@ -359,7 +359,7 @@ class TestTrace:
 
     def test_writing_copies_no_whole_trace(self, tmp_path):
         rng = np.random.default_rng(5)
-        tr = Trace(t0=0.0, dt=1e-3, names=("a", "b", "c"), values=rng.standard_normal((100_000, 3)))
+        tr = Trace(1e-3 * np.arange(100_000), ("a", "b", "c"), rng.standard_normal((100_000, 3)))
         tracemalloc.start()
         try:
             tr.to_csv(tmp_path / "big.csv")
@@ -372,34 +372,61 @@ class TestTrace:
 
     def test_cells_match_format_17g(self, tmp_path):
         vals = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308]
-        tr = Trace(t0=-1.0, dt=0.1, names=("x", "y"), values=np.column_stack([vals, vals[::-1]]))
+        tr = Trace(-1.0 + 0.1 * np.arange(len(vals)), ("x", "y"), np.column_stack([vals, vals[::-1]]))
         want = "t,x,y\n" + "".join(
             ",".join(format(v, ".17g") for v in row) + "\n" for row in zip(tr.times, vals, vals[::-1]))
         tr.to_csv(tmp_path / "x.csv")
         assert (tmp_path / "x.csv").read_text() == want
 
     def test_header_format(self, tmp_path):
-        Trace(t0=0.0, dt=1.0, names=("x",), values=[[1.0]]).to_csv(tmp_path / "x.csv")
+        Trace([0.0], ("x",), [[1.0]]).to_csv(tmp_path / "x.csv")
         assert (tmp_path / "x.csv").read_text().splitlines()[0] == "t,x"
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="dt"):
-            Trace(t0=0.0, dt=0.0, names=("a",), values=[[1.0]])
         with pytest.raises(ValueError, match="shape"):
-            Trace(t0=0.0, dt=1.0, names=("a",), values=[1.0, 2.0])
+            Trace([0.0, 1.0], ("a",), [1.0, 2.0])
         with pytest.raises(ValueError, match="shape"):
-            Trace(t0=0.0, dt=1.0, names=("a", "b"), values=[[1.0, 2.0, 3.0]])
+            Trace([0.0], ("a", "b"), [[1.0, 2.0, 3.0]])
         with pytest.raises(ValueError, match="sample"):
-            Trace(t0=0.0, dt=1.0, names=("a",), values=np.empty((0, 1)))
+            Trace(np.empty(0), ("a",), np.empty((0, 1)))
         with pytest.raises(ValueError, match="channel"):
-            Trace(t0=0.0, dt=1.0, names=(), values=np.empty((1, 0)))
+            Trace([0.0], (), np.empty((1, 0)))
         with pytest.raises(ValueError, match="duplicate"):
-            Trace(t0=0.0, dt=1.0, names=("a", "a"), values=[[1.0, 2.0]])
+            Trace([0.0], ("a", "a"), [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_times_refused(self, bad):
+        # a NaN or infinite time, at the start, inside or at the end
+        for k in range(3):
+            times = [0.0, 1.0, 2.0]
+            times[k] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Trace(times, ("a",), [[1.0], [2.0], [3.0]])
+
+    @pytest.mark.parametrize("times", [[0.0, 0.0], [1.0, 0.5], [0.0, -0.0], [0.0, 2.0, 1.0]])
+    def test_times_that_do_not_increase_refused(self, times):
+        with pytest.raises(ValueError, match="strictly increase"):
+            Trace(times, ("a",), np.zeros((len(times), 1)))
+
+    @pytest.mark.parametrize("times", [[0.0], [0.0, 1.0, 2.0], [[0.0, 1.0]], 0.0])
+    def test_times_of_another_length_refused(self, times):
+        with pytest.raises(ValueError, match="one time per sample"):
+            Trace(times, ("a",), [[1.0], [2.0]])
+
+    def test_spacing(self):
+        tr = Trace(-1.0 + 0.1 * np.arange(100_000), ("a",), np.zeros((100_000, 1)))
+        assert tr.spacing == tr.times[1] - tr.times[0]
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            Trace(np.geomspace(1.0, 10.0, 5), ("a",), np.zeros((5, 1))).spacing
+        with pytest.raises(ValueError, match="two samples"):
+            Trace([0.0], ("a",), [[1.0]]).spacing
 
     def test_values_kept_and_columns_are_views(self):
         values = np.arange(12.0).reshape(4, 3)
-        tr = Trace(t0=0.0, dt=1.0, names=("a", "b", "c"), values=values)
+        times = np.arange(4.0)
+        tr = Trace(times, ("a", "b", "c"), values)
         assert tr.values is values
+        assert tr.times is times
         assert tr.n_samples == 4
         assert np.shares_memory(tr["b"], tr.values)
         assert np.array_equal(tr["b"], values[:, 1])
@@ -444,7 +471,7 @@ class TestPowerSpectrumExponent:
     def test_white_noise_flat(self):
         rng = np.random.default_rng(7)
         n, dt = 4096, 1e-3
-        tr = Trace(t0=0.0, dt=dt, names=("x",), values=np.column_stack([rng.standard_normal(n)]))
+        tr = Trace(dt * np.arange(n), ("x",), np.column_stack([rng.standard_normal(n)]))
         slope = power_spectrum_exponent(tr, "x", (4 / (n * dt), 0.25 / dt))
         assert abs(slope) <= 0.2
 
@@ -453,7 +480,7 @@ class TestPowerSpectrumExponent:
         n, dt = 4096, 1e-3
         big_t = n * dt
         t = np.arange(n) * dt
-        tr = Trace(t0=0.0, dt=dt, names=("x",), values=np.column_stack([1.0 / (t + 0.01 * big_t)]))
+        tr = Trace(t, ("x",), np.column_stack([1.0 / (t + 0.01 * big_t)]))
         slope = power_spectrum_exponent(tr, "x", (10 / big_t, 0.1 / dt))
         assert abs(slope - (-2.0)) <= 0.3
 
@@ -464,7 +491,7 @@ class TestPowerSpectrumExponent:
         t = np.arange(n) * dt
         lam = np.exp(rng.uniform(np.log(1.0), np.log(1e4), 400))
         x = np.exp(-np.outer(t, lam)).mean(axis=1)
-        tr = Trace(t0=0.0, dt=dt, names=("x",), values=np.column_stack([x]))
+        tr = Trace(t, ("x",), np.column_stack([x]))
         slope = power_spectrum_exponent(tr, "x", (10 / (n * dt), 0.1 / dt))
         assert -2.0 < slope < -1.0
 
@@ -473,14 +500,17 @@ class TestPowerSpectrumExponent:
         n, dt = 2048, 1e-3
         t = np.arange(n) * dt
         x = np.sin(2 * np.pi * 32 / (n * dt) * t / 32 * 32)
-        tr = Trace(t0=0.0, dt=dt, names=("x",), values=np.column_stack([x]))
+        tr = Trace(t, ("x",), np.column_stack([x]))
         with pytest.raises(ValueError, match="empty"):
             power_spectrum_exponent(tr, "x", (60.0, 200.0))
 
     def test_preconditions(self):
-        tr = Trace(t0=0.0, dt=1e-3, names=("x",), values=np.column_stack([np.ones(512)]))
+        tr = Trace(1e-3 * np.arange(512), ("x",), np.column_stack([np.ones(512)]))
         with pytest.raises(ValueError, match="1024"):
             power_spectrum_exponent(tr, "x", (1.0, 10.0))
-        tr = Trace(t0=0.0, dt=1e-3, names=("x",), values=np.column_stack([np.ones(2048)]))
+        tr = Trace(1e-3 * np.arange(2048), ("x",), np.column_stack([np.ones(2048)]))
         with pytest.raises(ValueError, match="Nyquist"):
             power_spectrum_exponent(tr, "x", (10.0, 1e6))
+        tr = Trace(np.geomspace(1e-3, 10.0, 2048), ("x",), np.column_stack([np.ones(2048)]))
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            power_spectrum_exponent(tr, "x", (1.0, 10.0))

@@ -262,3 +262,105 @@ class TestLcaMatchesReference:
         p, x = lca_problem()
         k = stop_step(lambda spec, tol: lca_reference(p, x, spec, tol), method, dt, self.tol)
         assert not self.check(method, dt, k - 1)
+
+
+class TestOutputTimes:
+    """bs3 rows at the times a caller asks for, over one stepping path."""
+
+    spec = IntegratorSpec(method="bs3", dt=0.1, t_end=100.0)
+
+    def never_steady(self, times=None):
+        # steady_tol 0 never fires, so the run spans t_end while memories
+        # reach both bounds and one stays inside
+        g, hp = bipolar_network()
+        return simulate_network(g, None, hp, self.spec, steady_tol=0.0, times=times)
+
+    def test_grid_subsets_are_the_grid_rows(self):
+        full = self.never_steady()
+        grid = self.spec.dt * np.arange(1, self.spec.n_steps + 1)
+        assert np.array_equal(full.trace.times[1:], grid)
+        rng = np.random.default_rng(0)
+        picks = [np.arange(0), np.arange(grid.size), np.array([grid.size - 1]), np.array([0, 7, 8, 500])]
+        picks += [np.sort(rng.choice(grid.size, size=n, replace=False)) for n in (1, 10, 300)]
+        for idx in picks:
+            run = self.never_steady(times=grid[idx])
+            ends_on_request = idx.size and idx[-1] == grid.size - 1
+            assert run.trace.n_samples == idx.size + (1 if ends_on_request else 2)
+            assert np.array_equal(run.trace.values[1:idx.size + 1], full.trace.values[idx + 1])
+            assert np.array_equal(run.trace.values[0], full.trace.values[0])
+            assert np.array_equal(run.trace.values[-1], full.trace.values[-1])
+            assert np.array_equal(run.trace.times, np.concatenate([[0.0], grid[idx], [grid[-1]]])[
+                :run.trace.n_samples])
+            assert (run.steps, run.rhs_calls) == (full.steps, full.rhs_calls)
+
+    def test_integrate_rows_do_not_move_the_steps(self):
+        # integrate alone, without a network: the same RHS calls at the same
+        # times for any output times, and the grid rows where they are asked
+        spec = IntegratorSpec(method="bs3", dt=0.5, t_end=30.0)
+        rhs = lambda y, t: np.array([y[1], -y[0] - 0.1 * y[1] + np.sin(t)])
+        f_full, calls_full = counting(rhs)
+        full = integrate(f_full, [1.0, 0.0], spec)
+        grid = spec.dt * np.arange(1, spec.n_steps + 1)
+        for times in ((), grid[::7], np.geomspace(1e-3, 29.0, 40)):
+            f, calls = counting(rhs)
+            rows = integrate(f, [1.0, 0.0], spec, times=times)
+            assert calls == calls_full
+            assert np.array_equal(rows[-1], full[-1])
+            assert len(rows) == len(times) + 2
+        rows = integrate(rhs, [1.0, 0.0], spec, times=grid[::7])
+        assert np.array_equal(rows[1:-1], full[1::7][:len(grid[::7])])
+
+    def test_log_times_are_deterministic(self):
+        times = np.geomspace(1e-2, 100.0, 50)
+        a, b = self.never_steady(times=times), self.never_steady(times=times)
+        assert np.array_equal(a.trace.values, b.trace.values)
+        assert np.array_equal(a.trace.times, b.trace.times)
+        assert (a.steps, a.rhs_calls) == (b.steps, b.rhs_calls)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_fixed_step_methods_refuse_times(self, method):
+        spec = IntegratorSpec(method=method, dt=0.1, t_end=1.0)
+        with pytest.raises(ValueError, match="only bs3"):
+            integrate(lambda y, t: -y, [1.0], spec, times=[0.5])
+        with pytest.raises(ValueError, match="only bs3"):
+            integrate(lambda y, t: -y, [1.0], spec, times=())
+        g, hp = bipolar_network()
+        with pytest.raises(ValueError, match="only bs3"):
+            simulate_network(g, None, hp, spec, times=())
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0], [-1.0], [1.0, 10.5], [2.0, 1.0], [1.0, 1.0],
+                                       [np.nan], [[1.0, 2.0]]])
+    def test_bad_times_refused(self, times):
+        spec = IntegratorSpec(method="bs3", dt=0.1, t_end=10.0)
+        with pytest.raises(ValueError, match="times"):
+            integrate(lambda y, t: -y, [1.0], spec, times=times)
+
+    def stopped_run(self, times):
+        # the hook fires off the grid, at t_fired; returns (rows, hook calls)
+        rhs, calls = counting(lambda y, t: -y)
+        seen = []
+
+        def stop(y, dy):
+            seen.append((calls[-1], y.copy(), abs(dy[0]) < 1e-2))
+            return seen[-1][2]
+
+        rows = integrate(rhs, [1.0], IntegratorSpec(method="bs3", dt=0.5, t_end=100.0), stop=stop, times=times)
+        return rows, seen
+
+    def test_stop_ends_at_the_next_requested_time(self):
+        _, seen = self.stopped_run(())
+        t_fired = next(t for t, _, hit in seen if hit)
+        times = [1.0, t_fired + 2.0, t_fired + 3.0]
+        rows, seen = self.stopped_run(times)
+        assert len(rows) == 3  # state0, t = 1, and the stepped state at t_fired + 2
+        t_last, y_last, _ = seen[-1]
+        assert t_last == times[1]
+        assert rows[-1, 0] == y_last[0]
+
+    def test_stop_with_no_time_left_ends_at_once(self):
+        for times in ((), [0.5, 1.0]):
+            rows, seen = self.stopped_run(times)
+            fired = next(k for k, (_, _, hit) in enumerate(seen) if hit)
+            assert fired == len(seen) - 1  # no step after the hook fired
+            assert len(rows) == len(times) + 2
+            assert rows[-1, 0] == seen[fired][1][0]
