@@ -123,8 +123,9 @@ def mc_simulate(p: McParams, q0: float, spec: IntegratorSpec) -> Trace:
     def rhs(y, t):
         return np.array([-y[0] / (mc_resistance(y[0], p) * p.c)])
 
-    q = integrate(rhs, [q0], spec)[:, 0]
-    return Trace(spec.dt * np.arange(q.size), ("q", "v_c", "r"),
+    run = integrate(rhs, [q0], spec)
+    q = run.rows[:, 0]
+    return Trace(run.times, ("q", "v_c", "r"),
                  np.column_stack([q, q / p.c, mc_resistance(q, p)]))
 
 
@@ -209,30 +210,26 @@ def amoeba_simulate(
     dev = p.dev
 
     def clamp(y):
-        y[2] = min(max(y[2], dev.r1), dev.r2)
+        y = y.copy()  # bs3 compares the clamped state with the unclamped one, and clamps stacks of rows
+        y[..., 2] = np.minimum(np.maximum(dev.r1, y[..., 2]), dev.r2)
         return y
 
-    pieces = []
-    vs = []
+    pieces, vs = [], []
     y = np.asarray(init, dtype=float)
     if not dev.r1 <= y[2] <= dev.r2:
         raise ValueError("initial memristance must lie in [r1, r2]")
-    first = True
     for duration, drive in schedule:
         seg_spec = IntegratorSpec(method=spec.method, dt=spec.dt, t_end=duration)
 
         def rhs(state, t, drive=drive):
             return amoeba_rhs(state, eval_signal(drive, t), p)
 
-        block = integrate(rhs, y, seg_spec, poststep=clamp)
-        vblock = np.asarray(eval_signal(drive, spec.dt * np.arange(len(block))), dtype=float)
-        if not first:
-            block = block[1:]
-            vblock = vblock[1:]
-        pieces.append(block)
-        vs.append(vblock)
-        y = block[-1]
-        first = False
+        run = integrate(rhs, y, seg_spec, poststep=clamp)
+        v = np.asarray(eval_signal(drive, run.times), dtype=float)
+        skip = 1 if pieces else 0  # a later stage's first row is the last row of the one before
+        pieces.append(run.rows[skip:])
+        vs.append(v[skip:])
+        y = run.rows[-1]
     data = np.vstack(pieces)
     v = np.concatenate(vs)
     return Trace(spec.dt * np.arange(len(data)), ("i", "v_c", "m", "v"), np.column_stack([data, v]))
@@ -297,7 +294,7 @@ def plant_simulate(p: PlantParams, v: DriveSignal, spec: IntegratorSpec) -> Trac
     PlantDenominatorError
         at the first sample where the denominator is <= 0.
     """
-    t = spec.dt * np.arange(spec.n_steps + 1)
+    t = spec.grid
     vv = np.asarray(eval_signal(v, t), dtype=float)
     j = linear_response(lambda x: p.h(eval_signal(v, x)), p.p_beta, spec)
     denom = p.p_beta * p.r_o * j + p.a_const * np.exp(-p.p_beta * t)
@@ -348,5 +345,5 @@ def hh_simulate(p: HhParams, v_drive: DriveSignal, spec: IntegratorSpec,
                   for gk, ok, w0 in zip(force, at_one, g0.tolist()))
     vv = v_half[::2]
     i_k, i_na, *_ = hh_model(w1, w2, w3, vv, vv, p)
-    return Trace(spec.dt * np.arange(vv.size), ("w1", "w2", "w3", "i_k", "i_na", "v"),
+    return Trace(spec.grid, ("w1", "w2", "w3", "i_k", "i_na", "v"),
                  np.column_stack([w1, w2, w3, i_k, i_na, vv]))

@@ -321,7 +321,7 @@ def run_plant(params, rng):
 def run_hh(params, rng):
     p = HhParams(**{k: params[k] for k in (
         "g_k", "g_na", "k1", "k2", "na1", "na2", "na3", "na4", "na5", "na6", "na7", "na8", "na9")})
-    spec = IntegratorSpec(method="rk4", dt=params["dt"], t_end=params["t_end"])
+    spec = IntegratorSpec(dt=params["dt"], t_end=params["t_end"])
     drive = DriveSignal("sine", amplitude=params["amplitude"], frequency=params["frequency"])
     tr = hh_simulate(p, drive, spec)
     metrics = {f"final_{k}": float(tr[k][-1]) for k in ("w1", "w2", "w3")}
@@ -341,12 +341,12 @@ def run_network_soc(params, rng):
         "power_law": res.power_law,
         "fit_r2": res.fit_r2,
         "n_rates": int(res.rates.size),
-        "steady": res.steady,
+        "steady": res.run.steady,
         "n_unstable": res.n_unstable,
-        "stop_reason": res.stop_reason,
+        "stop_reason": res.run.stop_reason,
         "clamped_fraction": res.clamped_fraction,
-        "steps": res.steps,
-        "rhs_calls": res.rhs_calls,
+        "steps": res.run.steps,
+        "rhs_calls": res.run.rhs_calls,
     }
     return metrics, {"relaxation": res.relaxation}, None
 
@@ -378,6 +378,8 @@ def run_maze(params, rng):
 
 def run_crossbar_mvm(params, rng):
     hp = HpParams(alpha=0.0, beta=1.0, r_on=params["r_on"], r_off=params["r_off"])
+    if not (np.isfinite(params["r_line"]) and params["r_line"] > 0):
+        raise ValueError(f"r_line must be finite and > 0, got {params['r_line']!r}")
     worst = 0.0
     for _ in range(int(params["n_arrays"])):
         rows = int(rng.integers(1, params["rows"] + 1))
@@ -469,7 +471,7 @@ def run_rc_demo(params, rng):
         b=rng.standard_normal((n, 1)),
         h=rng.standard_normal((n_g, n)),
     )
-    spec = IntegratorSpec(method="rk4", dt=params["dt"], t_end=params["t_end"])
+    spec = IntegratorSpec(dt=params["dt"], t_end=params["t_end"])
     u = DriveSignal("sine", amplitude=params["amplitude"], frequency=params["frequency"])
     tr = rc_run(res, u, spec)
     g_mat = tr.values[:, :n_g]

@@ -4,12 +4,13 @@ Everything here is pure: the same inputs always produce bit-identical outputs.
 ``integrate`` is the package's one stepping loop: fixed-step Euler or RK4,
 or the error-controlled Bogacki-Shampine 3(2) pair, which emits its rows at
 any increasing output times a caller asks for and by default on the same
-uniform grid, and returns them as one (rows x state) array, by default row
-k at time ``k * spec.dt``.  State clamping (where a model needs it) is supplied
-by the caller through the ``poststep`` hook; the integrator itself never
-touches the state.  Runs that end early (a network reaching steady state,
-the LCA reaching its fixed point) pass a ``stop`` hook, which sees the state
-and its derivative after every step; that derivative is reused as the next
+uniform grid ``IntegratorSpec.grid``.  It returns a ``Run``: the (rows x
+state) array, the time of each row and the work done, so no caller counts
+steps itself.  State clamping (where a model needs it) is supplied by the
+caller through the ``poststep`` hook; the integrator never touches the
+state.  Runs that end early (a network reaching steady state, the LCA
+reaching its fixed point) pass a ``stop`` hook, which sees the state and
+its derivative after every step; that derivative is reused as the next
 step's first stage, so the check costs no extra RHS evaluation.
 ``linear_response`` solves the scalar linear ODE with a prescribed forcing,
 ``dy/dt = -rate(t)*y + g(t)`` from any ``y0``, by exponential quadrature of
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "DriveSignal",
     "Trace",
     "IntegratorSpec",
+    "Run",
     "SimulationError",
     "IntegrationDivergedError",
     "eval_signal",
@@ -211,6 +213,21 @@ class IntegratorSpec:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
+    @property
+    def grid(self) -> np.ndarray:
+        """The ``n_steps + 1`` times ``k * dt`` of the fixed steps, from 0 to the run's end."""
+        return self.dt * np.arange(self.n_steps + 1)
+
+
+class Run(NamedTuple):
+    """What one ``integrate`` call did: its rows, their times and its work."""
+
+    times: np.ndarray  # of each row, from 0: on the grid, or under bs3 at its output times and end
+    rows: np.ndarray  # (rows x state), row 0 the initial state
+    steps: int  # steps accepted
+    rhs_calls: int  # evaluations of ``rhs``
+    stopped: bool  # whether the ``stop`` hook returned True
+
 
 def integrate(
     rhs: Callable[[np.ndarray, float], np.ndarray],
@@ -219,11 +236,12 @@ def integrate(
     poststep: Callable[[np.ndarray], np.ndarray] | None = None,
     stop: Callable[[np.ndarray, np.ndarray], bool] | None = None,
     times: Sequence[float] | None = None,
-) -> np.ndarray:
-    """Integrate ``dy/dt = rhs(y, t)``; returns (rows x state), row 0 the state at t = 0.
+) -> Run:
+    """Integrate ``dy/dt = rhs(y, t)``; returns a ``Run``, row 0 the state at t = 0.
 
     The run ends at ``spec.n_steps * spec.dt``, unless ``stop`` ends it
-    earlier.  By default row k is the state at ``k * spec.dt``.
+    earlier.  By default row k is the state at ``k * spec.dt``, and
+    ``Run.times`` holds each row's time (see the fields of ``Run``).
 
     ``euler`` and ``rk4`` take fixed steps of ``spec.dt``, one per row.
     ``bs3`` is the Bogacki-Shampine 3(2) pair with error control: its first
@@ -286,7 +304,7 @@ def integrate(
     if not np.all(np.isfinite(y)):
         raise ValueError("state0 must be finite")
     if spec.method == "bs3":
-        return _bs3_rows(rhs, y, spec, poststep, stop, times)
+        return _bs3_run(rhs, y, spec, poststep, stop, times)
     if times is not None:
         raise ValueError(f"{spec.method} rows are its steps on the grid k * dt; only bs3 takes times")
     dt = spec.dt
@@ -294,6 +312,7 @@ def integrate(
     rows = [y]
     t = 0.0
     dy = None  # derivative at (y, t) when the stop hook has already computed it
+    stopped = False
     for k in range(spec.n_steps):
         k1 = np.asarray(rhs(y, t), dtype=float) if dy is None else dy
         if spec.method == "euler":
@@ -312,16 +331,20 @@ def integrate(
         if stop is not None:
             dy = np.asarray(rhs(y, t), dtype=float)
             if stop(y, dy):
+                stopped = True
                 break
-    return np.array(rows)
+    steps = len(rows) - 1
+    # a hook's derivative is the next step's first stage, so it adds only the first
+    rhs_calls = (1 if spec.method == "euler" else 4) * steps + int(stop is not None and steps > 0)
+    return Run(spec.grid[:len(rows)], np.array(rows), steps, rhs_calls, stopped)
 
 
-def _bs3_rows(rhs, y, spec: IntegratorSpec, poststep, stop, times) -> np.ndarray:
-    """The rows of ``integrate`` under bs3, at the output times reached (see there)."""
+def _bs3_run(rhs, y, spec: IntegratorSpec, poststep, stop, times) -> Run:
+    """``integrate`` under bs3, its rows at the output times reached (see there)."""
     clamp = (lambda v: v) if poststep is None else (lambda v: np.asarray(poststep(v), dtype=float))
     t_last = spec.n_steps * spec.dt  # the run ends here, or at the output time after a stop
     if times is None:
-        times = spec.dt * np.arange(1, spec.n_steps + 1)
+        times = spec.grid[1:]
     else:
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or not (np.isfinite(times).all() and (times[1:] > times[:-1]).all()):
@@ -332,9 +355,11 @@ def _bs3_rows(rhs, y, spec: IntegratorSpec, poststep, stop, times) -> np.ndarray
     k = 0  # index of the next output time
     t, h = 0.0, spec.dt
     f = np.asarray(rhs(y, t), dtype=float)
+    attempts = steps = 0
     stopped = False
     landed = True  # the state at t is a row: state0, or a step's end on an output time
     while t < t_last:
+        attempts += 1
         lands = h >= t_last - t
         if lands:
             h = t_last - t
@@ -378,6 +403,7 @@ def _bs3_rows(rhs, y, spec: IntegratorSpec, poststep, stop, times) -> np.ndarray
             blocks.append(y_new[None, :])
             last += 1
         k = last
+        steps += 1
         t, y, f = t_new, y_new, f_new
         if stop is not None and stop(y, f) and not stopped:
             # end at the next output time: here if the step landed on one or none is left
@@ -386,7 +412,8 @@ def _bs3_rows(rhs, y, spec: IntegratorSpec, poststep, stop, times) -> np.ndarray
         h *= grow
     if not landed:
         blocks.append(y[None, :])  # the final state, at no output time
-    return np.concatenate(blocks)
+    row_times = np.concatenate([[0.0], times[:k], () if landed else [t]])
+    return Run(row_times, np.concatenate(blocks), steps, 1 + 3 * attempts, stopped)
 
 
 # samples per block of the scalar recurrence in ``linear_response``
@@ -426,7 +453,7 @@ def linear_response(g: Callable[[np.ndarray], np.ndarray],
         at the first sample that is not finite, as ``integrate`` does.
     """
     dt = spec.dt
-    t = dt * np.arange(spec.n_steps + 1)
+    t = spec.grid
     t_mid = t[:-1] + 0.5 * dt
     g_grid = np.asarray(g(t), dtype=float)
     g_mid = np.asarray(g(t_mid), dtype=float)

@@ -167,6 +167,8 @@ class EnergyParams:
             raise ValueError("p_err must lie in (0, 1)")
         if self.l_bits < 1 or self.n < 1:
             raise ValueError("l_bits and n must be >= 1")
+        if not (math.isfinite(self.kt) and self.kt > 0):
+            raise ValueError(f"kt must be finite and > 0, got {self.kt!r}")
 
 
 class EnergyEstimates(NamedTuple):

@@ -69,6 +69,8 @@ class HpParams:
     polarity: int = 1
 
     def __post_init__(self):
+        if not np.isfinite([self.alpha, self.beta, self.r_on, self.r_off]).all():
+            raise ValueError("alpha, beta, r_on and r_off must be finite")
         if not 0 < self.r_on <= self.r_off:
             raise ValueError("need 0 < r_on <= r_off")
         if self.alpha < 0:
@@ -426,7 +428,7 @@ def simulate_hp_voltage_driven(
     if p.alpha == 0 and win.kind == "none":
         u = linear_response(lambda t: -p.polarity * drive(t) / (p.beta * p.r_on), 0.0,
                             spec, y0=float(hp_flux_coordinate(w0, p)), bounds=(0.0, 1.0 + 0.5 * p.xi))
-        w = clamp01(_w_of_flux_coordinate(u, p.xi))
+        t, w = spec.grid, clamp01(_w_of_flux_coordinate(u, p.xi))
     else:
         def rhs(y, t):
             w = clamp01(y[0])
@@ -434,8 +436,8 @@ def simulate_hp_voltage_driven(
             i = v / hp_resistance(w, p)
             return np.array([hp_rhs(w, i, p, win)])
 
-        w = integrate(rhs, [w0], spec, poststep=clamp01)[:, 0]
-    t = spec.dt * np.arange(spec.n_steps + 1)
+        run = integrate(rhs, [w0], spec, poststep=clamp01)
+        t, w = run.times, run.rows[:, 0]
     v = np.asarray(eval_signal(drive, t), dtype=float)
     r = hp_resistance(w, p)
     i = v / r

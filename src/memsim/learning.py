@@ -132,7 +132,7 @@ class LinearReservoir:
         globally.  ``spec.method`` is not used.
         """
         dt = spec.dt
-        t = dt * np.arange(spec.n_steps + 1)
+        t = spec.grid
         e = inputs(t)
         half = _expm(0.5 * dt * self.a)
         full = half @ half
@@ -189,13 +189,13 @@ class MemristiveReservoir:
                 last[:] = t, b @ inputs(t)
             return last[1]
 
-        rows = integrate(lambda w, t: memnet_rhs(w, drive(t), self._system, self.hp),
-                         np.full(self.dim, 0.5), spec, poststep=clamp01)
+        run = integrate(lambda w, t: memnet_rhs(w, drive(t), self._system, self.hp),
+                        np.full(self.dim, 0.5), spec, poststep=clamp01)
         # row k's drive as b @ inputs(t_k) computes it, one matrix-vector product
         # per row; passed inline, so the drives are freed before the stack below
-        currents = edge_currents(rows, (b @ inputs(spec.dt * np.arange(len(rows)))[..., None])[..., 0],
+        currents = edge_currents(run.rows, (b @ inputs(run.times)[..., None])[..., 0],
                                  self._system, self.hp)
-        return np.hstack([rows, currents])
+        return np.hstack([run.rows, currents])
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def rc_run(r: Reservoir, u_signal, spec: IntegratorSpec) -> Trace:
         return np.asarray(u_signal(t), dtype=float).reshape(np.shape(t) + (-1,))
 
     feats = r.dynamics.trajectory(r.b, inputs, spec) @ r.h.T
-    t = spec.dt * np.arange(spec.n_steps + 1)
+    t = spec.grid
     us = inputs(t)
     names = (*(f"g{i}" for i in range(feats.shape[1])), *(f"u{i}" for i in range(us.shape[1])))
     return Trace(t, names, np.hstack([feats, us]))
@@ -395,9 +395,9 @@ def lca_simulate(p: LcaProblem, x, spec: IntegratorSpec, tol: float = 1e-8) -> L
         b = Phi^T x,  G = Phi^T Phi,  a = T_lam(u).
 
     b_m is the atom-input overlap phi^m . x (the printed "b = Phi x" only
-    types with the transpose action).  Stops early when |du/dt|_inf < tol;
-    otherwise returns the last iterate with converged=False.  The trace holds
-    ``integrate``'s rows of u as they are, one column per atom, u0..u{M-1}.
+    types with the transpose action).  Stops early, with converged=True,
+    when |du/dt|_inf < tol; otherwise returns the last iterate.  The trace
+    holds ``integrate``'s rows of u at their times, one column per atom, u0..u{M-1}.
     """
     x = np.asarray(x, dtype=float)
     phi = p.dictionary
@@ -411,15 +411,8 @@ def lca_simulate(p: LcaProblem, x, spec: IntegratorSpec, tol: float = 1e-8) -> L
     def rhs(u, t):
         return (b - u - g_off @ hard_threshold(u, p.lam)) / p.tau
 
-    converged = False
-
-    def reached_fixed_point(u, du):
-        nonlocal converged
-        converged = bool(np.max(np.abs(du)) < tol)
-        return converged
-
-    rows = integrate(rhs, np.zeros(n_atoms), spec, stop=reached_fixed_point)
-    if not converged:
+    run = integrate(rhs, np.zeros(n_atoms), spec, stop=lambda u, du: np.max(np.abs(du)) < tol)
+    if not run.stopped:
         warnings.warn("LCA did not reach a fixed point within t_end", RuntimeWarning, stacklevel=2)
-    trace = Trace(spec.dt * np.arange(len(rows)), tuple(f"u{i}" for i in range(n_atoms)), rows)
-    return LcaResult(a=hard_threshold(rows[-1], p.lam), trace=trace, converged=converged)
+    trace = Trace(run.times, tuple(f"u{i}" for i in range(n_atoms)), run.rows)
+    return LcaResult(a=hard_threshold(run.rows[-1], p.lam), trace=trace, converged=run.stopped)

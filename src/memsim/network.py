@@ -487,8 +487,10 @@ def memnet_rhs(w, s, system, hp: HpParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NetworkRun:
+    """A network relaxation: its rows, why it ended and its work, as ``integrate`` reports them."""
+
     trace: Trace
-    steady: bool
+    steady: bool  # the rate norm fell below the steady tolerance (the stop hook fired)
     stop_reason: str  # "steady" | "t_end"
     system: KirchhoffSystem  # the current solver the run stepped with
     steps: int  # steps accepted
@@ -516,48 +518,25 @@ def simulate_network(
     error; the rows lie at ``times`` (passed on to ``integrate``, bs3 only)
     or by default every ``spec.dt``.  Stops once the rate norm falls below
     ``steady_tol``, at the next row's time, or at once when no requested
-    time is left.  The trace holds ``integrate``'s rows as they are, one
-    column per memory, w0..w{E-1}, labelled with their times: ``k * spec.dt``
-    by default, else 0, the requested times reached and the end of the run.
-    Every rate evaluation solves the currents with
-    ``kirchhoff_system(g)``, built once here and returned as
-    ``NetworkRun.system`` for the caller's own solves; ``NetworkRun.steps``
-    and ``rhs_calls`` count the accepted steps and the rate evaluations.
+    time is left.  The trace holds ``integrate``'s rows and row times as
+    they are, one column per memory, w0..w{E-1}.  Every rate evaluation
+    solves the currents with ``kirchhoff_system(g)``, built once here and
+    returned as ``NetworkRun.system`` for the caller's own solves.
     """
     system = kirchhoff_system(g)
     n_e = system.n_edges
     s = source_vector(g, hp) if s is None else np.asarray(s, dtype=float)
     if s.shape != (n_e,):
         raise ValueError(f"source vector must have shape ({n_e},), got {s.shape}")
-    w = np.full(n_e, w0, dtype=float)
-    steps = rhs_calls = 0
-    steady = False
-    t_rate = t_end = 0.0  # the time of the last rate evaluation; of the last step
 
     def rate(w, t):
-        nonlocal rhs_calls, t_rate
-        rhs_calls += 1
-        t_rate = t
         return clamped_rate(w, memnet_rhs(w, s, system, hp), 0.0, 1.0)
 
-    def reached_steady(w, dw):
-        # bs3 shows the hook the steps after it fired too, up to the next row;
-        # dw is the rate at the step's end, the last one evaluated
-        nonlocal steps, steady, t_end
-        steps += 1
-        t_end = t_rate
-        steady = steady or bool(np.max(np.abs(dw)) < steady_tol)
-        return steady
-
-    rows = integrate(rate, w, spec, poststep=clamp01, stop=reached_steady, times=times)
-    if times is None:
-        row_times = spec.dt * np.arange(len(rows))
-    else:
-        asked = np.asarray(times, dtype=float)
-        row_times = np.concatenate([[0.0], asked[asked < t_end], [t_end]]) if t_end > 0.0 else np.zeros(1)
-    trace = Trace(row_times, tuple(f"w{i}" for i in range(n_e)), rows)
-    return NetworkRun(trace=trace, steady=steady, stop_reason="steady" if steady else "t_end",
-                      system=system, steps=steps, rhs_calls=rhs_calls)
+    run = integrate(rate, np.full(n_e, w0, dtype=float), spec, poststep=clamp01,
+                    stop=lambda w, dw: np.max(np.abs(dw)) < steady_tol, times=times)
+    trace = Trace(run.times, tuple(f"w{i}" for i in range(n_e)), run.rows)
+    return NetworkRun(trace=trace, steady=run.stopped, stop_reason="steady" if run.stopped else "t_end",
+                      system=system, steps=run.steps, rhs_calls=run.rhs_calls)
 
 
 def linearize(s, system, hp: HpParams, w_star) -> np.ndarray:
@@ -586,18 +565,17 @@ def linearize(s, system, hp: HpParams, w_star) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SocResult:
+    """The soc analysis; ``run`` is the relaxation it linearized at, steady or not, and its work."""
+
     gamma: float
     spectrum_slope: float
     power_law: bool
     fit_r2: float
     rates: np.ndarray
-    relaxation: Trace
-    steady: bool  # the relaxation reached steady state before it was linearized
+    relaxation: Trace  # the linearized <w(t)>, not the simulated rows (those are run.trace)
     n_unstable: int  # Jacobian eigenvalues with real part > 1e-10
-    stop_reason: str  # why the relaxation ended: "steady" | "t_end"
     clamped_fraction: float  # share of edges at w = 0 or w = 1 where it was linearized
-    steps: int  # steps the relaxation accepted
-    rhs_calls: int  # evaluations of the network equation during the relaxation
+    run: NetworkRun
 
 
 MAX_GRAPH_DRAWS = 200  # random_network gives up after this many disconnected draws
@@ -616,11 +594,13 @@ def random_network(
     Each draw takes the pairs i < j whose entry of an ``n_nodes`` square
     uniform draw is below ``edge_prob``, in row-major order, and puts
     ``source_volts`` of random sign on ``n_sources`` of them.  Raises
-    ValueError for fewer than two nodes, or when ``MAX_GRAPH_DRAWS`` draws
-    give no connected graph with at least ``n_nodes`` edges.
+    ValueError for fewer than two nodes, an ``edge_prob`` outside [0, 1], or
+    when ``MAX_GRAPH_DRAWS`` draws give no connected graph of ``n_nodes`` edges.
     """
     if n_nodes < 2:
         raise ValueError(f"a random network needs at least 2 nodes, got {n_nodes}")
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob!r}")
     for _ in range(MAX_GRAPH_DRAWS):
         mask = rng.random((n_nodes, n_nodes)) < edge_prob
         tails, heads = np.nonzero(np.triu(mask, 1))
@@ -685,8 +665,8 @@ def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec) -> SocRe
     the soc-n100 preset's bs3 spec); the linearization point is its final
     state, a stepped state.  Under bs3 it asks for no rows between the
     initial and the final state, so a steady stop ends the run at once;
-    euler and rk4 keep their grid rows.  ``steps`` and ``rhs_calls`` report
-    its work.
+    euler and rk4 keep their grid rows.  The result holds the relaxation as
+    ``run``, which reports whether it became steady and its work.
     """
     s = source_vector(g, hp)
     run = simulate_network(g, s, hp, spec, w0=0.5, times=() if spec.method == "bs3" else None)
@@ -725,12 +705,9 @@ def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec) -> SocRe
         fit_r2=float(fit_r2),
         rates=rates,
         relaxation=relax,
-        steady=run.steady,
         n_unstable=int(np.count_nonzero(lam > 1e-10)),
-        stop_reason=run.stop_reason,
         clamped_fraction=float(np.mean((w_star <= 0.0) | (w_star >= 1.0))),
-        steps=run.steps,
-        rhs_calls=run.rhs_calls,
+        run=run,
     )
 
 

@@ -194,6 +194,19 @@ class TestAmoeba:
         for name in ("i", "v_c", "m", "v"):
             assert np.array_equal(one[name], two[name]), name
 
+    def test_bs3_keeps_the_memristance_bounded(self):
+        # bs3 clamps stacks of interpolated rows too, and must see the clamp
+        # move M for its error norm; both went wrong with a clamp in place
+        schedule = [
+            (150.0, DriveSignal("dc", amplitude=0.5)),
+            (300.0, DriveSignal("dc", amplitude=-2.0)),
+        ]
+        spec = IntegratorSpec(method="bs3", dt=0.1, t_end=450.0)
+        tr = amoeba_simulate(AMOEBA, [1.0, 1.0, 7.0], schedule, spec)
+        assert tr.n_samples == spec.n_steps + 1
+        assert tr["m"].min() == 3.0 and tr["m"].max() == 20.0
+        assert tr["m"][-1] == pytest.approx(20.0)
+
     def test_bounds_invariant_random_drive(self):
         schedule = [(30.0, DriveSignal("square", amplitude=4.0, frequency=0.2))]
         spec = IntegratorSpec(method="euler", dt=0.05, t_end=30.0)

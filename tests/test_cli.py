@@ -142,6 +142,27 @@ class TestConfigTypes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / experiment).exists()
 
+    @pytest.mark.parametrize("experiment,params", [
+        ("write-read", {"beta": 1e400}),
+        ("write-read", {"r_off": 1e400}),
+        ("crossbar-mvm", {"r_line": 1e400}),
+        ("energy", {"kt": 0.0}),
+        ("network-soc", {"edge_prob": 2.0}),
+    ])
+    def test_out_of_domain_values_exit_2(self, tmp_path, capsys, experiment, params):
+        # each of these ended in a traceback (a division by zero, an overflow in
+        # the rng), or ran on a complete graph without end (edge_prob 2)
+        assert self.run(tmp_path, experiment, params) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / experiment).exists()
+
+    def test_zero_length_amoeba_stage_runs(self, tmp_path):
+        # the second stage adds no row; it ended in an IndexError
+        assert self.run(tmp_path, "amoeba", {"t2": 0.0}) == 0
+        p = PRESETS["amoeba"][default_preset("amoeba")]
+        lines = (tmp_path / "amoeba" / "amoeba.csv").read_text().splitlines()
+        assert len(lines) == 1 + round(p["t1"] / p["dt"]) + 1  # the header, then one row per step
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):

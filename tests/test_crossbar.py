@@ -111,7 +111,7 @@ class TestSwitchingTime:
 
         tau = switching_time(HP, v)
         spec = IntegratorSpec(method="rk4", dt=tau / 4000, t_end=1.2 * tau)
-        w = integrate(rhs, [0.0], spec)[:, 0]
+        w = integrate(rhs, [0.0], spec).rows[:, 0]
         crossing = spec.dt * np.searchsorted(w, 1.0)
         assert abs(crossing - tau) / tau < 0.05
 

@@ -113,7 +113,7 @@ class TestHpAnalytic:
             return np.array([hp_rhs(w, i, p)])
 
         spec = IntegratorSpec(method="rk4", dt=1e-4, t_end=0.2)
-        w = integrate(rhs, [0.5], spec)[:, 0]
+        w = integrate(rhs, [0.5], spec).rows[:, 0]
         w_pred = hp_analytic_w(v0 * spec.dt * np.arange(len(w)), 0.5, p)
         assert np.max(np.abs(w_pred - w)) < 1e-6
 
@@ -128,7 +128,7 @@ class TestHpAnalytic:
             return np.array([hp_rhs(w, i, p)])
 
         spec = IntegratorSpec(method="rk4", dt=1e-4, t_end=1.0)
-        w = integrate(rhs, [0.5], spec)[:, 0]
+        w = integrate(rhs, [0.5], spec).rows[:, 0]
         phi = 1.0 * (1 - np.cos(2 * np.pi * f * spec.dt * np.arange(len(w)))) / (2 * np.pi * f)
         w_pred = hp_analytic_w(phi, 0.5, p)
         rel = np.abs(w_pred - w) / np.abs(w)
@@ -223,7 +223,7 @@ class TestHpVolatileAnalytic:
         p = HpParams(alpha=0.4, beta=2.0, r_on=1, r_off=2, polarity=polarity)
         i0 = 0.3
         spec = IntegratorSpec(method="rk4", dt=1e-4, t_end=1.0)
-        rows = integrate(lambda y, t: np.array([hp_rhs(y[0], i0, p)]), [0.25], spec)
+        rows = integrate(lambda y, t: np.array([hp_rhs(y[0], i0, p)]), [0.25], spec).rows
         pred = hp_volatile_analytic(DriveSignal("dc", amplitude=i0), 0.25, p, 1.0)
         assert abs(pred - rows[-1, 0]) < 1e-6
 

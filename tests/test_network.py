@@ -847,9 +847,9 @@ class TestSocExperiment:
         run = simulate_network(g, None, HP, spec, w0=0.5)
         w_star = run.trace.values[-1]
         res = soc_experiment(g, HP, spec)
-        assert res.stop_reason == run.stop_reason
-        assert (res.steps, res.rhs_calls) == (run.steps, run.rhs_calls) == (800, 801)
-        assert res.steady == (res.stop_reason == "steady")
+        assert res.run.stop_reason == run.stop_reason
+        assert (res.run.steps, res.run.rhs_calls) == (run.steps, run.rhs_calls) == (800, 801)
+        assert res.run.steady == (res.run.stop_reason == "steady")
         want = np.count_nonzero((w_star == 0.0) | (w_star == 1.0)) / w_star.size
         assert res.clamped_fraction == want
         assert 0.0 < want < 1.0

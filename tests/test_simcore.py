@@ -61,20 +61,20 @@ class TestEvalSignal:
 class TestIntegrate:
     def test_zero_rhs_constant(self):
         spec = IntegratorSpec(method="rk4", dt=0.1, t_end=1.0)
-        rows = integrate(lambda y, t: np.zeros_like(y), [1.0], spec)
+        rows = integrate(lambda y, t: np.zeros_like(y), [1.0], spec).rows
         assert rows.shape == (spec.n_steps + 1, 1)
         assert np.all(rows[:, 0] == 1.0)
 
     def test_rk4_exponential_decay(self):
         spec = IntegratorSpec(method="rk4", dt=0.01, t_end=1.0)
-        rows = integrate(lambda y, t: -y, [1.0], spec)
+        rows = integrate(lambda y, t: -y, [1.0], spec).rows
         assert abs(rows[-1, 0] - np.exp(-1.0)) < 1e-6
 
     def test_euler_hand_unrolled(self):
         # 10 Euler steps of dy/dt = -y with dt=0.1: y_n = (1 - 0.1)^n
         # (equality up to float associativity of y + dt*(-y) vs y*0.9)
         spec = IntegratorSpec(method="euler", dt=0.1, t_end=1.0)
-        rows = integrate(lambda y, t: -y, [1.0], spec)
+        rows = integrate(lambda y, t: -y, [1.0], spec).rows
         final = rows[-1, 0]
         assert final == pytest.approx(0.9**10, rel=5e-15)
         # and it is the Euler value, not the exact exponential
@@ -83,13 +83,13 @@ class TestIntegrate:
     def test_deterministic_bit_identical(self):
         spec = IntegratorSpec(method="rk4", dt=0.01, t_end=2.0)
         rhs = lambda y, t: np.array([np.sin(t) - 0.3 * y[0]])
-        assert np.array_equal(integrate(rhs, [0.2], spec), integrate(rhs, [0.2], spec))
+        assert np.array_equal(integrate(rhs, [0.2], spec).rows, integrate(rhs, [0.2], spec).rows)
 
     def test_rk4_order(self):
         # halving dt must reduce the error by at least 8x on dy/dt = -y
         def err(dt):
             spec = IntegratorSpec(method="rk4", dt=dt, t_end=1.0)
-            rows = integrate(lambda y, t: -y, [1.0], spec)
+            rows = integrate(lambda y, t: -y, [1.0], spec).rows
             return abs(rows[-1, 0] - np.exp(-1.0))
 
         assert err(0.1) / err(0.05) >= 8.0
@@ -104,12 +104,12 @@ class TestIntegrate:
     def test_poststep_clamp(self):
         spec = IntegratorSpec(method="euler", dt=0.3, t_end=3.0)
         rows = integrate(lambda y, t: np.ones_like(y), [0.0], spec,
-                         poststep=lambda y: np.minimum(y, 0.5))
+                         poststep=lambda y: np.minimum(y, 0.5)).rows
         assert rows[:, 0].max() == 0.5
 
     def test_names_and_validation(self):
         spec = IntegratorSpec(method="euler", dt=0.1, t_end=0.2)
-        rows = integrate(lambda y, t: -y, [1.0, 2.0], spec)
+        rows = integrate(lambda y, t: -y, [1.0, 2.0], spec).rows
         assert isinstance(rows, np.ndarray) and rows.shape == (3, 2)
         assert np.array_equal(rows[0], [1.0, 2.0])
         with pytest.raises(ValueError):
@@ -147,7 +147,7 @@ class TestBs3:
     def test_exponential_decay(self):
         spec = IntegratorSpec(method="bs3", dt=0.1, t_end=5.0)
         rhs, calls = self.counted(lambda y, t: -y)
-        rows = integrate(rhs, [1.0], spec)
+        rows = integrate(rhs, [1.0], spec).rows
         assert rows.shape == (spec.n_steps + 1, 1)
         t = spec.dt * np.arange(len(rows))
         assert np.max(np.abs(rows[:, 0] - np.exp(-t))) < 1e-6
@@ -157,7 +157,7 @@ class TestBs3:
     def test_damped_rotation(self):
         a = np.array([[-0.5, 2.0], [-2.0, -0.5]])
         spec = IntegratorSpec(method="bs3", dt=0.05, t_end=10.0)
-        rows = integrate(lambda y, t: a @ y, [1.0, 0.0], spec)
+        rows = integrate(lambda y, t: a @ y, [1.0, 0.0], spec).rows
         assert len(rows) == spec.n_steps + 1
         t = spec.dt * np.arange(len(rows))
         decay = np.exp(-0.5 * t)
@@ -166,13 +166,13 @@ class TestBs3:
 
     def test_time_dependent_rhs(self):
         spec = IntegratorSpec(method="bs3", dt=0.1, t_end=20.0)
-        rows = integrate(lambda y, t: np.array([np.cos(t)]), [0.0], spec)
+        rows = integrate(lambda y, t: np.array([np.cos(t)]), [0.0], spec).rows
         assert np.max(np.abs(rows[:, 0] - np.sin(spec.dt * np.arange(len(rows))))) < 1e-6
 
     def test_last_row_lands_on_t_end(self):
         # steps grow tenfold on an exact solution, so the last one is cut to land
         spec = IntegratorSpec(method="bs3", dt=0.3, t_end=30.0)
-        rows = integrate(lambda y, t: np.ones_like(y), [0.0], spec)
+        rows = integrate(lambda y, t: np.ones_like(y), [0.0], spec).rows
         assert len(rows) == 101
         assert np.allclose(rows[:, 0], spec.dt * np.arange(len(rows)), rtol=0.0, atol=1e-12)
 
@@ -184,7 +184,7 @@ class TestBs3:
             return np.ones_like(y)
 
         spec = IntegratorSpec(method="bs3", dt=0.1, t_end=3.0)
-        rows = integrate(rhs, [0.0], spec, poststep=lambda y: np.minimum(y, 0.5))
+        rows = integrate(rhs, [0.0], spec, poststep=lambda y: np.minimum(y, 0.5)).rows
         assert max(seen) == rows[:, 0].max() == 0.5
         assert rows[-1, 0] == 0.5
 
@@ -194,8 +194,8 @@ class TestBs3:
         alone, calls_alone = self.counted(lambda y, t: -y)
         pinned, calls_pinned = self.counted(lambda y, t: np.array([-y[0], 1e3 * np.sin(50.0 * t)]))
         spec = IntegratorSpec(method="bs3", dt=0.1, t_end=5.0)
-        a = integrate(alone, [1.0], spec)
-        b = integrate(pinned, [1.0, 0.0], spec, poststep=lambda y: y * [1.0, 0.0])
+        a = integrate(alone, [1.0], spec).rows
+        b = integrate(pinned, [1.0, 0.0], spec, poststep=lambda y: y * [1.0, 0.0]).rows
         assert calls_alone == calls_pinned
         assert np.array_equal(a[:, 0], b[:, 0])
         assert np.all(b[:, 1] == 0.0)
@@ -203,7 +203,7 @@ class TestBs3:
     def test_deterministic_bit_identical(self):
         spec = IntegratorSpec(method="bs3", dt=0.01, t_end=2.0)
         rhs = lambda y, t: np.array([np.sin(t) - 0.3 * y[0]])
-        assert np.array_equal(integrate(rhs, [0.2], spec), integrate(rhs, [0.2], spec))
+        assert np.array_equal(integrate(rhs, [0.2], spec).rows, integrate(rhs, [0.2], spec).rows)
 
     def test_step_size_underflow_raises(self):
         # y' = 1/(1 - t) has no finite value at t = 1, so no step reaches it

@@ -8,6 +8,7 @@ the new state for the steady/convergence check.  ``simulate_network`` and
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memsim.core import IntegratorSpec, integrate
 from memsim.devices import HpParams
@@ -54,7 +55,7 @@ class TestStopHook:
     def test_one_rhs_call_per_stage(self, method, per_step):
         rhs, calls = counting(lambda y, t: -y)
         spec = IntegratorSpec(method=method, dt=0.1, t_end=10.0)
-        rows = integrate(rhs, [1.0], spec, stop=lambda y, dy: abs(dy[0]) < 0.2)
+        rows = integrate(rhs, [1.0], spec, stop=lambda y, dy: abs(dy[0]) < 0.2).rows
         taken = len(rows) - 1
         assert 0 < taken < spec.n_steps
         assert len(calls) == per_step * taken + 1
@@ -75,7 +76,7 @@ class TestStopHook:
 
         spec = IntegratorSpec(method="euler", dt=0.3, t_end=3.0)
         rows = integrate(lambda y, t: np.array([1.0 - t]), [0.0], spec,
-                         poststep=lambda y: np.minimum(y, 0.5), stop=stop)
+                         poststep=lambda y: np.minimum(y, 0.5), stop=stop).rows
         assert len(seen) == spec.n_steps
         for k, (y, dy) in enumerate(seen, start=1):
             assert y[0] == rows[k, 0] <= 0.5
@@ -83,7 +84,7 @@ class TestStopHook:
 
     def test_trace_ends_with_stopping_step(self):
         spec = IntegratorSpec(method="euler", dt=1.0, t_end=10.0)
-        rows = integrate(lambda y, t: np.ones_like(y), [0.0], spec, stop=lambda y, dy: y[0] >= 3.0)
+        rows = integrate(lambda y, t: np.ones_like(y), [0.0], spec, stop=lambda y, dy: y[0] >= 3.0).rows
         assert list(rows[:, 0]) == [0.0, 1.0, 2.0, 3.0]
 
     def test_bs3_stop_lands_on_the_next_grid_point(self):
@@ -98,7 +99,7 @@ class TestStopHook:
             return seen[-1][2]
 
         spec = IntegratorSpec(method="bs3", dt=0.5, t_end=100.0)
-        rows = integrate(rhs, [1.0], spec, stop=stop)
+        rows = integrate(rhs, [1.0], spec, stop=stop).rows
         fired = next(k for k, (_, _, hit) in enumerate(seen) if hit)
         t_fired = seen[fired][0]
         assert t_fired % spec.dt != 0.0  # off the grid, so the landing is tested
@@ -299,15 +300,15 @@ class TestOutputTimes:
         spec = IntegratorSpec(method="bs3", dt=0.5, t_end=30.0)
         rhs = lambda y, t: np.array([y[1], -y[0] - 0.1 * y[1] + np.sin(t)])
         f_full, calls_full = counting(rhs)
-        full = integrate(f_full, [1.0, 0.0], spec)
+        full = integrate(f_full, [1.0, 0.0], spec).rows
         grid = spec.dt * np.arange(1, spec.n_steps + 1)
         for times in ((), grid[::7], np.geomspace(1e-3, 29.0, 40)):
             f, calls = counting(rhs)
-            rows = integrate(f, [1.0, 0.0], spec, times=times)
+            rows = integrate(f, [1.0, 0.0], spec, times=times).rows
             assert calls == calls_full
             assert np.array_equal(rows[-1], full[-1])
             assert len(rows) == len(times) + 2
-        rows = integrate(rhs, [1.0, 0.0], spec, times=grid[::7])
+        rows = integrate(rhs, [1.0, 0.0], spec, times=grid[::7]).rows
         assert np.array_equal(rows[1:-1], full[1::7][:len(grid[::7])])
 
     def test_log_times_are_deterministic(self):
@@ -344,7 +345,7 @@ class TestOutputTimes:
             seen.append((calls[-1], y.copy(), abs(dy[0]) < 1e-2))
             return seen[-1][2]
 
-        rows = integrate(rhs, [1.0], IntegratorSpec(method="bs3", dt=0.5, t_end=100.0), stop=stop, times=times)
+        rows = integrate(rhs, [1.0], IntegratorSpec(method="bs3", dt=0.5, t_end=100.0), stop=stop, times=times).rows
         return rows, seen
 
     def test_stop_ends_at_the_next_requested_time(self):
@@ -364,3 +365,52 @@ class TestOutputTimes:
             assert fired == len(seen) - 1  # no step after the hook fired
             assert len(rows) == len(times) + 2
             assert rows[-1, 0] == seen[fired][1][0]
+
+
+@st.composite
+def linear_runs(draw):
+    """dy/dt = A y for a small A, a spec, a kind of stop hook and, under bs3, maybe output times."""
+    n = draw(st.integers(1, 3))
+    a = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n))).reshape(n, n)
+    y0 = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    spec = IntegratorSpec(method=draw(st.sampled_from(["euler", "rk4", "bs3"])),
+                          dt=draw(st.floats(0.05, 0.5)), t_end=draw(st.floats(0.0, 3.0)))
+    hook = draw(st.sampled_from([None, "never", "threshold"]))
+    tol = draw(st.floats(1e-3, 2.0))
+    times = None
+    if spec.method == "bs3" and draw(st.booleans()):
+        shares = draw(st.lists(st.floats(0.0, 1.0), max_size=8))
+        times = np.unique(spec.n_steps * spec.dt * np.array(shares, dtype=float))
+        times = times[times > 0.0]
+    return a, y0, spec, hook, tol, times
+
+
+class TestRunRecord:
+    @settings(max_examples=300, deadline=None)
+    @given(case=linear_runs())
+    def test_record_matches_what_the_run_did(self, case):
+        a, y0, spec, hook, tol, times = case
+        rhs, calls = counting(lambda y, t: a @ y)
+        returned = []
+
+        def stop(y, dy):
+            returned.append(hook == "threshold" and bool(np.max(np.abs(dy)) < tol))
+            return returned[-1]
+
+        run = integrate(rhs, y0, spec, stop=None if hook is None else stop, times=times)
+        assert len(run.times) == len(run.rows)
+        assert run.times[0] == 0.0 and np.all(np.diff(run.times) > 0.0)
+        assert run.rhs_calls == len(calls)
+        assert run.stopped == any(returned)
+        if hook is not None:
+            assert run.steps == len(returned)  # the hook sees every accepted step
+        if spec.method != "bs3":
+            assert run.steps == len(run.rows) - 1
+            assert np.array_equal(run.times, spec.dt * np.arange(len(run.rows)))
+        else:
+            # the last RHS call is at the end of the last accepted step, where the run ends
+            end = calls[-1]
+            asked = spec.dt * np.arange(1, spec.n_steps + 1) if times is None else times
+            reached = asked[asked <= end]
+            landed = end == 0.0 or (reached.size and reached[-1] == end)
+            assert np.array_equal(run.times, np.concatenate([[0.0], reached, [] if landed else [end]]))
