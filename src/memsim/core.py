@@ -551,7 +551,8 @@ def loglog_slope(x, y) -> tuple[float, float]:
 
 # Relative power floor: spectral bins this far below the peak are treated as
 # numerically zero (an exact-period sinusoid leaves roundoff dust in all
-# other bins; fitting through it would be meaningless).
+# other bins; fitting through it would be meaningless).  The closed-form
+# periodogram of ``network.soc_experiment`` drops bins by the same floor.
 _POWER_FLOOR = 1e-24
 
 
@@ -561,7 +562,10 @@ def power_spectrum_exponent(tr: Trace, channel: str, fit_band: tuple[float, floa
     No window and no detrending: for relaxation transients the turn-on
     discontinuity carries the power-law skirt that the slope measures.
     Requires >= 1024 uniformly spaced samples (``Trace.spacing``) and
-    0 < f_lo < f_hi < Nyquist.
+    0 < f_lo < f_hi < Nyquist.  ``network.soc_experiment`` takes its
+    spectrum slope from the closed form of this periodogram for a sum of
+    sampled exponentials; on the built series this function is the FFT
+    oracle the tests check that closed form against.
 
     Raises
     ------

@@ -44,7 +44,9 @@ take the error-controlled Bogacki-Shampine pair ("bs3"), whose steps follow
 the slow DC relaxation from a first trial step of ``dt``.  bs3 emits rows at
 the times a caller asks for, and by default every ``dt``: the maze keeps
 every row, and the soc relaxation, which analyses only where the run ends,
-keeps its initial and final states alone.
+keeps its initial and final states alone.  The soc analysis then reads the
+linearized relaxation, a sum of exponentials, on the rows of its fit window
+alone, and its periodogram from the closed form of a geometric series.
 
 Voltage sources come in two forms: a series EMF on a memristive edge (the
 ``value`` field), or a pure source edge.  Pure source edges are eliminated
@@ -64,7 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import IntegratorSpec, SimulationError, Trace, integrate, loglog_slope, power_spectrum_exponent
+from .core import _POWER_FLOOR, IntegratorSpec, SimulationError, Trace, integrate, loglog_slope
 from .devices import HpParams, clamp01, clamped_rate
 
 __all__ = [
@@ -572,7 +574,7 @@ class SocResult:
     power_law: bool
     fit_r2: float
     rates: np.ndarray
-    relaxation: Trace  # the linearized <w(t)>, not the simulated rows (those are run.trace)
+    relaxation: Trace  # the linearized <w(t)> on the rows gamma and fit_r2 read (simulated rows: run.trace)
     n_unstable: int  # Jacobian eigenvalues with real part > 1e-10
     clamped_fraction: float  # share of edges at w = 0 or w = 1 where it was linearized
     run: NetworkRun
@@ -623,19 +625,10 @@ def random_network(
                      f"at edge_prob {edge_prob}")
 
 
-def _log_resampled_r2(t: np.ndarray, x: np.ndarray, t_lo: float, t_hi: float, n: int = 128) -> float:
-    """R^2 of the log-log fit on log-uniform resampled points (power-law gate)."""
-    tg = np.geomspace(max(t_lo, t[1]), min(t_hi, t[-1]), n)
-    xg = np.interp(tg, t, x)
-    keep = xg > 0
-    _, r2 = loglog_slope(tg[keep], xg[keep])
-    return r2
-
-
 # soc_experiment's analysis constants (see its docstring)
 RATE_DECADES = 2.5
 RELAXATION_SAMPLES = 32768
-RELAXATION_BLOCK = 1024  # rows of the relaxation evaluated at once
+RELAXATION_BLOCK = 256  # relaxation rows, and periodogram bins, evaluated at once
 GAMMA_WINDOW = (2.0, 0.5)
 CORNER_WINDOW = (0.3, 5.0)  # the gamma window when GAMMA_WINDOW holds fewer than 8 rows
 FIT_BAND = (10.0, 30.0)
@@ -645,21 +638,28 @@ def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec) -> SocRe
     """Relaxation-exponent and spectrum-slope analysis of a driven network.
 
     Procedure: relax the network to its DC configuration, linearize there,
-    take the negative branch of the spectrum (rates within ``RATE_DECADES``
-    of the fastest), build <w(t)> = tr(e^{At} W0)/N with W0 = I/2 on a
-    uniform grid of ``RELAXATION_SAMPLES`` points spanning 6/lambda_min,
-    then fit
+    take the negative branch of the spectrum (rates lambda_k within
+    ``RATE_DECADES`` of the fastest) and sample <w(t)> = tr(e^{At} W0)/N,
+    W0 = I/2, that is c sum_k e^{-lambda_k t} with c = 1/(2 n_rates), on the
+    uniform grid t_n = n dt of N = ``RELAXATION_SAMPLES`` points spanning
+    6/lambda_min; then fit
 
-    - gamma: log-log slope of <w(t)> on the scaling window
-      (GAMMA_WINDOW[0]/lambda_max, GAMMA_WINDOW[1]/lambda_min),
+    - gamma: log-log slope of <w(t)> on the grid rows of the scaling window
+      (GAMMA_WINDOW[0]/lambda_max, GAMMA_WINDOW[1]/lambda_min],
     - spectrum slope: periodogram log-log slope on the band
       (lambda_max/FIT_BAND[0], FIT_BAND[1]*lambda_max)/(2 pi), clipped at
-      the Nyquist frequency of the relaxation grid.
+      the Nyquist frequency of the grid.  Each rate's samples are a
+      geometric series in q_k = e^{-lambda_k dt}, so bin j is
+      X_j = sum_k c (1 - q_k^N)/(1 - q_k e^{-2 pi i j/N}), evaluated on the
+      band's bins alone (``core.power_spectrum_exponent`` of the built
+      series is its test oracle).
 
     The power-law gate is the R^2 of the log-resampled time-domain fit
     (falling back to ``CORNER_WINDOW`` when the rate spread leaves no
     scaling regime, e.g. a single device): fits with R^2 < 0.9 report
-    ``power_law=False``.
+    ``power_law=False``.  ``relaxation`` holds <w(t)> on the grid rows of
+    the window fitted and one row on each side, at their grid times: every
+    row gamma and R^2 read.
 
     The relaxation is ``simulate_network`` under ``spec`` (the CLI passes
     the soc-n100 preset's bs3 spec); the linearization point is its final
@@ -679,32 +679,52 @@ def soc_experiment(g: CircuitGraph, hp: HpParams, spec: IntegratorSpec) -> SocRe
     lam_max = neg.max()
     rates = neg[neg >= lam_max * 10.0 ** (-RATE_DECADES)]
     lam_min = rates.min()
+    t = np.linspace(0.0, 6.0 / lam_min, RELAXATION_SAMPLES)
 
-    t_end = 6.0 / lam_min
-    t = np.linspace(0.0, t_end, RELAXATION_SAMPLES)
-    # a block of rows at a time: each row reduces alone, so the blocks give
-    # the same numbers as one RELAXATION_SAMPLES x rates array, without it
-    x = np.concatenate([0.5 * np.exp(-np.outer(t[k:k + RELAXATION_BLOCK], rates)).mean(axis=1)
-                        for k in range(0, t.size, RELAXATION_BLOCK)])
-    relax = Trace((t[1] - t[0]) * np.arange(t.size), ("mean_w",), x[:, None])
+    def window_rows(lo, hi):
+        # <w(t)> on the grid rows in (lo, hi] and one row on each side, a
+        # block of rows at a time: each row reduces alone
+        first, last = np.searchsorted(t, (lo, hi), side="right")
+        tw = t[first - 1:last + 1]  # lo > 0 = t[0], so first >= 1
+        x = np.empty(tw.size)
+        for k in range(0, tw.size, RELAXATION_BLOCK):
+            rows = tw[k:k + RELAXATION_BLOCK]
+            x[k:k + rows.size] = 0.5 * np.exp(-np.outer(rows, rates)).mean(axis=1)
+        return tw, x
 
     t_lo, t_hi = GAMMA_WINDOW[0] / lam_max, GAMMA_WINDOW[1] / lam_min
-    if np.count_nonzero((t > t_lo) & (t <= t_hi) & (x > 0)) < 8:
+    tw, x = window_rows(t_lo, t_hi)
+    if np.count_nonzero((tw > t_lo) & (tw <= t_hi) & (x > 0)) < 8:
         # no scaling regime (single relaxation scale): fit around the corner
         t_lo, t_hi = CORNER_WINDOW[0] / lam_max, CORNER_WINDOW[1] / lam_min
-    msk = (t > t_lo) & (t <= t_hi) & (x > 0)
-    gamma, _ = loglog_slope(t[msk], x[msk])
-    fit_r2 = _log_resampled_r2(t, x, t_lo, t_hi)
-    nyquist = 0.5 / relax.spacing
-    f_hi = min(lam_max * FIT_BAND[1] / (2.0 * np.pi), 0.999 * nyquist)
-    slope = power_spectrum_exponent(relax, "mean_w", (lam_max / (2.0 * np.pi) / FIT_BAND[0], f_hi))
+        tw, x = window_rows(t_lo, t_hi)
+    msk = (tw > t_lo) & (tw <= t_hi) & (x > 0)
+    gamma, _ = loglog_slope(tw[msk], x[msk])
+    tg = np.geomspace(t_lo, t_hi, 128)
+    xg = np.interp(tg, tw, x)
+    _, fit_r2 = loglog_slope(tg[xg > 0], xg[xg > 0])
+
+    # the periodogram of the N samples, in closed form on the band's bins only
+    dt = t[1] - t[0]
+    f = np.fft.rfftfreq(RELAXATION_SAMPLES, dt)
+    f_hi = min(lam_max * FIT_BAND[1] / (2.0 * np.pi), 0.999 * 0.5 / dt)
+    bins = np.flatnonzero((f >= lam_max / (2.0 * np.pi) / FIT_BAND[0]) & (f <= f_hi))
+    q = np.exp(-rates * dt)
+    amp = 0.5 / rates.size * (1.0 - q ** RELAXATION_SAMPLES)
+    z = np.exp(-2j * np.pi / RELAXATION_SAMPLES * bins)
+    p = np.empty(bins.size)
+    for k in range(0, bins.size, RELAXATION_BLOCK):
+        zk = z[k:k + RELAXATION_BLOCK]
+        p[k:k + zk.size] = np.abs((amp / (1.0 - np.outer(zk, q))).sum(axis=1)) ** 2
+    keep = p > np.sum(amp / (1.0 - q)) ** 2 * _POWER_FLOOR
+    slope, _ = loglog_slope(f[bins][keep], p[keep])
     return SocResult(
         gamma=float(gamma),
         spectrum_slope=float(slope),
         power_law=bool(fit_r2 >= 0.9),
         fit_r2=float(fit_r2),
         rates=rates,
-        relaxation=relax,
+        relaxation=Trace(tw, ("mean_w",), x[:, None]),
         n_unstable=int(np.count_nonzero(lam > 1e-10)),
         clamped_fraction=float(np.mean((w_star <= 0.0) | (w_star >= 1.0))),
         run=run,

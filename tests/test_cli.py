@@ -1,9 +1,14 @@
 import contextlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memsim
 import memsim.circuits
 import memsim.devices
 import memsim.learning
@@ -190,6 +195,63 @@ class TestDeterminism:
         ma = json.loads((a / "energy" / "manifest.json").read_text())
         mb = json.loads((b / "energy" / "manifest.json").read_text())
         assert ma["config_sha256"] != mb["config_sha256"]
+
+
+# ``memsim network-soc --seed k`` metrics.txt as recorded with one BLAS thread
+# (the soc digits depend on the thread count), so that a change that moves a
+# soc metric fails here
+SOC_METRICS = {
+    0: """gamma=-0.944052596811
+spectrum_slope=-1.93555807029
+slope_plus_one_minus_gamma=0.00849452652056
+power_law=True
+fit_r2=0.960078328681
+n_rates=73
+steady=False
+n_unstable=60
+stop_reason=t_end
+clamped_fraction=0.145922746781
+steps=234
+rhs_calls=805
+""",
+    1: """gamma=-1.03661475343
+spectrum_slope=-1.94037512782
+slope_plus_one_minus_gamma=0.0962396256175
+power_law=True
+fit_r2=0.971174698887
+n_rates=79
+steady=False
+n_unstable=57
+stop_reason=t_end
+clamped_fraction=0.257383966245
+steps=210
+rhs_calls=766
+""",
+    2: """gamma=-0.989611767339
+spectrum_slope=-1.92337558087
+slope_plus_one_minus_gamma=0.0662361864736
+power_law=True
+fit_r2=0.979081691702
+n_rates=81
+steady=False
+n_unstable=58
+stop_reason=t_end
+clamped_fraction=0.292887029289
+steps=234
+rhs_calls=931
+""",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SOC_METRICS))
+def test_network_soc_metrics_are_pinned(seed, tmp_path):
+    src = str(Path(memsim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "memsim.cli", "network-soc", "--seed", str(seed),
+                           "--out", str(tmp_path)], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    got = (tmp_path / "network-soc" / "metrics.txt").read_text().splitlines()
+    assert got == SOC_METRICS[seed].splitlines()
 
 
 class TestMazeCommand:

@@ -7,13 +7,16 @@ from scipy.linalg import expm
 from scipy.special import exp1
 
 from memsim import network
-from memsim.core import IntegratorSpec
+from memsim.core import IntegratorSpec, Trace, loglog_slope, power_spectrum_exponent
 from memsim.devices import HpParams, hp_resistance, hp_rhs
 from memsim.network import (
     AmbiguousPathError,
+    CORNER_WINDOW,
     CircuitGraph,
     DisconnectedGraphError,
     Edge,
+    FIT_BAND,
+    GAMMA_WINDOW,
     MazeSpec,
     RELAXATION_SAMPLES,
     STACK_BLOCK,
@@ -778,18 +781,60 @@ class TestSocExperiment:
         assert abs(res.spectrum_slope + (1.0 - res.gamma)) <= 0.3
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_relaxation_matches_the_trace_oracle(self, seed):
+    def test_relaxation_rows_match_the_modal_sum(self, seed):
         # the CLI's graph at this seed; <w(t)> over the kept rates is the modal
-        # sum tr(e^{At} W0)/N with A = diag(-rates) and W0 = I/2
+        # sum tr(e^{At} W0)/N with A = diag(-rates) and W0 = I/2, written on
+        # the grid rows of the gamma window and one row on each side
         p = NETWORK_SOC
         g = preset_graph(seed)
         hp = HpParams(alpha=p["alpha"], beta=p["beta"], r_on=p["r_on"], r_off=p["r_off"])
         res = soc_experiment(g, hp, SOC_SPEC)
-        t = np.linspace(0.0, 6.0 / res.rates.min(), RELAXATION_SAMPLES)
+        t = res.relaxation.times
         want = mean_relaxation(np.diag(-res.rates), np.full(res.rates.size, 0.5), t)
         got = res.relaxation["mean_w"]
-        assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        grid = np.linspace(0.0, 6.0 / res.rates.min(), RELAXATION_SAMPLES)
+        first = np.searchsorted(grid, t[0])
+        assert np.array_equal(t, grid[first:first + t.size])
+        t_lo, t_hi = GAMMA_WINDOW[0] / res.rates.max(), GAMMA_WINDOW[1] / res.rates.min()
+        assert t[0] <= t_lo < t[1] and t[-2] <= t_hi < t[-1]
+        inside = (t > t_lo) & (t <= t_hi)
+        assert np.count_nonzero(inside) == t.size - 2
+        assert loglog_slope(t[inside], got[inside])[0] == res.gamma
+
+    @pytest.mark.parametrize("seed", [*range(10), 34017, "single"])
+    def test_closed_form_matches_the_whole_series(self, seed):
+        # the CLI's graph at this seed (34017: the graph of bench seed 34), or
+        # one driven memristor, whose single rate takes the corner window.
+        # Build the whole RELAXATION_SAMPLES-row series and fit it over all
+        # its rows: gamma and fit_r2 come out bit for bit, and the slope of
+        # its FFT periodogram to 1e-12
+        if seed == "single":
+            g = CircuitGraph(n_nodes=2, edges=(Edge(0, 1), Edge(1, 0, "source", -2.0)))
+            hp = HP
+        else:
+            p = NETWORK_SOC
+            g = preset_graph(seed)
+            hp = HpParams(alpha=p["alpha"], beta=p["beta"], r_on=p["r_on"], r_off=p["r_off"])
+        res = soc_experiment(g, hp, SOC_SPEC)
+        lam_max, lam_min = res.rates.max(), res.rates.min()
+        t = np.linspace(0.0, 6.0 / lam_min, RELAXATION_SAMPLES)
+        x = np.concatenate([0.5 * np.exp(-np.outer(t[k:k + 1024], res.rates)).mean(axis=1)
+                            for k in range(0, t.size, 1024)])
+        t_lo, t_hi = GAMMA_WINDOW[0] / lam_max, GAMMA_WINDOW[1] / lam_min
+        if np.count_nonzero((t > t_lo) & (t <= t_hi) & (x > 0)) < 8:
+            t_lo, t_hi = CORNER_WINDOW[0] / lam_max, CORNER_WINDOW[1] / lam_min
+        msk = (t > t_lo) & (t <= t_hi) & (x > 0)
+        assert loglog_slope(t[msk], x[msk])[0] == res.gamma
+        tg = np.geomspace(max(t_lo, t[1]), min(t_hi, t[-1]), 128)
+        xg = np.interp(tg, t, x)
+        assert loglog_slope(tg[xg > 0], xg[xg > 0])[1] == res.fit_r2
+        dt = t[1] - t[0]
+        band = (lam_max / (2.0 * np.pi) / FIT_BAND[0],
+                min(lam_max * FIT_BAND[1] / (2.0 * np.pi), 0.999 * 0.5 / dt))
+        series = Trace(dt * np.arange(t.size), ("mean_w",), x[:, None])
+        slope = power_spectrum_exponent(series, "mean_w", band)
+        assert abs(res.spectrum_slope - slope) <= 1e-12 * abs(slope)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_relaxation_keeps_its_end_alone(self, seed, monkeypatch):
@@ -818,7 +863,8 @@ class TestSocExperiment:
     def test_relaxation_memory(self):
         # the CLI-seed-0 graph: keeping every grid row peaked at 15.9 MB
         # (4001 rows x 233 memories, listed and then copied); the rows
-        # soc_experiment reads peak at about 2.4 MB
+        # soc_experiment reads, and its periodogram taken a block of bins at
+        # a time, peak at about 2.2 MB
         p = NETWORK_SOC
         g = preset_graph(0)
         hp = HpParams(alpha=p["alpha"], beta=p["beta"], r_on=p["r_on"], r_off=p["r_off"])
